@@ -323,6 +323,43 @@ def logsumexp(a: Tensor) -> Tensor:
     return _emit(out, [(a, vjp)])
 
 
+def _check_mask(a: Tensor, mask, op: str) -> np.ndarray:
+    mask = np.asarray(mask, dtype=bool)
+    if len(a.shape) != 2 or mask.shape != a.shape:
+        raise ValueError(f"{op} expects an [n, m] matrix and a mask of the same shape, "
+                         f"got {a.shape} and {mask.shape}")
+    return mask
+
+
+def logsumexp_rows(a: Tensor, mask) -> Tensor:
+    """Stable log-sum-exp of each row of an [n, m] matrix over the entries
+    where ``mask`` is true, returning [n, 1]. Every row needs a kept entry;
+    entries left out take no part in the value and get zero gradient."""
+    mask = _check_mask(a, mask, "logsumexp_rows")
+    if not mask.any(axis=1).all():
+        raise ValueError("logsumexp_rows needs at least one kept entry per row")
+    av = a.values
+    if np.isnan(av[mask]).any():
+        raise NumericError("logsumexp_rows received NaN input")
+    kept = np.where(mask, av, -np.inf)
+    m = kept.max(axis=1, keepdims=True)
+    e = np.exp(kept - m)
+    z = e.sum(axis=1, keepdims=True)
+
+    def vjp(g, w=e / z):
+        return g * w
+
+    return _emit(m + np.log(z), [(a, vjp)])
+
+
+def masked_row_sum(a: Tensor, mask) -> Tensor:
+    """Sum of each row of an [n, m] matrix over the entries where ``mask``
+    is true, returning [n, 1] (zero for a row with no kept entry)."""
+    mask = _check_mask(a, mask, "masked_row_sum")
+    out = np.where(mask, a.values, 0.0).sum(axis=1, keepdims=True)
+    return _emit(out, [(a, lambda g: g * mask)])
+
+
 def sum_all(a: Tensor) -> Tensor:
     shape = a.shape
     return _emit(np.asarray(a.values.sum()), [
@@ -334,6 +371,18 @@ def sum_all(a: Tensor) -> Tensor:
 # row indexing / segment ops (message passing and pooling live on these)
 
 
+def _scatter_rows(values: np.ndarray, ids: np.ndarray, num_rows: int) -> np.ndarray:
+    """Row r of the [num_rows, d] result is the sum of ``values`` rows whose
+    id is r. One ``bincount`` over the flat index ``ids * d + col`` adds each
+    bin's terms in input order, starting from zero, so the result is
+    bit-identical to a loop that adds the rows one at a time."""
+    d = values.shape[1]
+    flat = (ids[:, None] * d + np.arange(d)).ravel()
+    out = np.bincount(flat, weights=values.ravel(), minlength=num_rows * d)
+    # with no rows at all bincount returns int64 zeros
+    return out.astype(np.float64, copy=False).reshape(num_rows, d)
+
+
 def gather_rows(a: Tensor, index) -> Tensor:
     """Select rows of an [n, d] matrix; duplicates allowed."""
     if len(a.shape) != 2:
@@ -342,14 +391,7 @@ def gather_rows(a: Tensor, index) -> Tensor:
     n = a.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ValueError(f"gather_rows index out of range for {n} rows")
-    shape = a.shape
-
-    def vjp(g, idx=idx, shape=shape):
-        out = np.zeros(shape)
-        np.add.at(out, idx, g)
-        return out
-
-    return _emit(a.values[idx], [(a, vjp)])
+    return _emit(a.values[idx], [(a, lambda g, idx=idx, n=n: _scatter_rows(g, idx, n))])
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -383,8 +425,7 @@ def _check_segments(values: Tensor, segment_ids, num_segments: int) -> np.ndarra
 def segment_sum(values: Tensor, segment_ids, num_segments: int) -> Tensor:
     """Row s of the result is the sum of rows with segment id s (zeros if none)."""
     ids = _check_segments(values, segment_ids, num_segments)
-    out = np.zeros((num_segments, values.shape[1]))
-    np.add.at(out, ids, values.values)
+    out = _scatter_rows(values.values, ids, num_segments)
     return _emit(out, [(values, lambda g, ids=ids: g[ids])])
 
 
@@ -393,8 +434,7 @@ def segment_mean(values: Tensor, segment_ids, num_segments: int) -> Tensor:
     ids = _check_segments(values, segment_ids, num_segments)
     counts = np.bincount(ids, minlength=num_segments).astype(np.float64)
     denom = np.maximum(counts, 1.0)[:, None]
-    out = np.zeros((num_segments, values.shape[1]))
-    np.add.at(out, ids, values.values)
+    out = _scatter_rows(values.values, ids, num_segments)
     out /= denom
 
     def vjp(g, ids=ids, denom=denom):

@@ -109,9 +109,6 @@ def load_run_config(path) -> RunConfig:
 
     if "lambda" in payload:
         payload["lam"] = payload.pop("lambda")
-    for tuple_field in ("encoder_dims", "generator_dims", "generator_head"):
-        if tuple_field in payload:
-            payload[tuple_field] = tuple(payload[tuple_field])
     env_seed = os.environ.get("RGCL_SEED")
     if env_seed is not None:
         try:

@@ -13,7 +13,9 @@ c_n. Two losses are combined:
   N+1 terms in total.
 
 Both use r1 as the query side only; there is no symmetrized second term.
-The total is mean_n [ suff_n + lam * indep_n ].
+The total is mean_n [ suff_n + lam * indep_n ]. ``rgcl_loss`` computes it for
+the whole batch from one similarity matrix; the per-anchor functions below
+are its reference.
 """
 
 from __future__ import annotations
@@ -156,7 +158,14 @@ class LossReport:
 
 
 def rgcl_loss(views: BatchViews, tau: float, lam: float) -> tuple[Tensor, LossReport]:
-    """Differentiable batch loss plus a float report.
+    """Differentiable batch loss plus a float report, in matrix form.
+
+    One similarity matrix S = r1 @ [r1; r2; c]^T / tau, [N, 3N] (or [N, 2N]
+    without complements), holds every logit. Row n's positive is S[n, N+n];
+    sufficiency takes a log-sum-exp over the r1 and r2 blocks minus columns n
+    and N+n, independence over column N+n and the c block. The value equals
+    ``sufficiency_loss`` and ``independence_loss`` summed per anchor, which
+    stay as the reference.
 
     With complement views present, every anchor contributes
     suff_n + lam * indep_n (the lam = 0 case still builds the independence
@@ -168,26 +177,34 @@ def rgcl_loss(views: BatchViews, tau: float, lam: float) -> tuple[Tensor, LossRe
         raise ValueError(f"temperature must be positive, got {tau}")
     if lam < 0:
         raise ValueError(f"independence weight must be >= 0, got {lam}")
-    n_anchors = views.num_anchors
-    su_terms: list[Tensor] = []
-    in_terms: list[Tensor] = []
-    per_anchor: list[Tensor] = []
-    for n in range(n_anchors):
-        su = sufficiency_loss(views, n, tau)
-        su_terms.append(su)
-        if views.c is not None:
-            ind = independence_loss(views, n, tau)
-            in_terms.append(ind)
-            per_anchor.append(ad.add(su, ad.scale(ind, lam)))
-        else:
-            per_anchor.append(su)
-    total = per_anchor[0]
-    for term in per_anchor[1:]:
-        total = ad.add(total, term)
-    total = ad.scale(total, 1.0 / n_anchors)
+    n = views.num_anchors
+    if n < 2:
+        raise ValueError("sufficiency loss needs N >= 2 anchors")
+    keys = [views.r1, views.r2] + ([] if views.c is None else [views.c])
+    sims = ad.scale(
+        ad.matmul(views.r1, ad.transpose(ad.concat_rows(keys))), 1.0 / tau
+    )
+    rows = np.arange(n)
+    positive = np.zeros(sims.shape, dtype=bool)
+    positive[rows, n + rows] = True
+    pos = ad.masked_row_sum(sims, positive)
+
+    su_mask = np.zeros(sims.shape, dtype=bool)
+    su_mask[:, : 2 * n] = True
+    su_mask[rows, rows] = False
+    su_mask[rows, n + rows] = False
+    su = ad.sub(ad.logsumexp_rows(sims, su_mask), pos)
+    per_anchor = su
+    ind = None
+    if views.c is not None:
+        in_mask = positive.copy()
+        in_mask[:, 2 * n :] = True
+        ind = ad.sub(ad.logsumexp_rows(sims, in_mask), pos)
+        per_anchor = ad.add(su, ad.scale(ind, lam))
+    total = ad.scale(ad.sum_all(per_anchor), 1.0 / n)
     report = LossReport(
-        l_su=float(np.mean([t.item() for t in su_terms])),
-        l_in=float(np.mean([t.item() for t in in_terms])) if in_terms else 0.0,
+        l_su=float(su.values.mean()),
+        l_in=0.0 if ind is None else float(ind.values.mean()),
         total=total.item(),
         tau=float(tau),
         lam=float(lam),

@@ -19,6 +19,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -68,6 +71,13 @@ def normalize_variant(variant: str) -> str:
     return v
 
 
+_INT_FIELDS = (
+    "batch_size", "epochs", "seed", "projector_hidden", "projector_dim", "checkpoint_every",
+)
+_FLOAT_FIELDS = ("learning_rate", "tau", "lam", "rho")
+_DIMS_FIELDS = ("encoder_dims", "generator_dims", "generator_head")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Everything that defines a pre-training run, minus the dataset."""
@@ -93,6 +103,26 @@ class TrainConfig:
         def fail(field_name: str, constraint: str):
             raise ValueError(f"{field_name}: {constraint}")
 
+        # bool is an int subclass; a JSON true/false here is a typo, not a 1/0
+        def is_int(v) -> bool:
+            return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not is_int(value):
+                fail(name, f"must be an integer, got {value!r}")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or (
+                not math.isfinite(value)
+            ):
+                fail(name, f"must be a finite number, got {value!r}")
+        for name in _DIMS_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)) or not all(is_int(d) for d in value):
+                fail(name, f"must be a list of integers, got {value!r}")
+            object.__setattr__(self, name, tuple(int(d) for d in value))
+
         if self.batch_size < 2:
             fail("batch_size", "must be >= 2")
         if self.epochs < 0:
@@ -107,9 +137,7 @@ class TrainConfig:
             fail("rho", "must be in (0, 1]")
         if self.checkpoint_every < 1:
             fail("checkpoint_every", "must be >= 1")
-        for name in ("encoder_dims", "generator_dims", "generator_head"):
-            object.__setattr__(self, name, tuple(int(d) for d in getattr(self, name)))
-        if self.generator_head[-1] != 1:
+        if self.generator_head[-1:] != (1,):
             fail("generator_head", "must end with an output width of 1")
         # these raise with a clear message if the combination is invalid
         self.encoder_config()
@@ -389,7 +417,9 @@ def pretrain(
     mid-epoch); a resumed run reproduces the uninterrupted one step for
     step. With an ``output_dir``, per-step metrics go to ``metrics.jsonl``
     and checkpoints are written every ``checkpoint_every`` steps plus at the
-    end.
+    end. Resuming into the directory of the interrupted run first drops the
+    metrics lines past the loaded step, so the file ends up byte-identical
+    to that of a run that never stopped.
     """
     variant = normalize_variant(variant)
     if len(dataset) == 0:
@@ -402,7 +432,10 @@ def pretrain(
     if output_dir is not None:
         out = Path(output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        writer = open(out / "metrics.jsonl", "a" if state.step > 0 else "w")
+        metrics = out / "metrics.jsonl"
+        if state.step > 0:
+            _cut_metrics(metrics, state.step)
+        writer = open(metrics, "a" if state.step > 0 else "w")
 
     m_total = len(dataset)
     try:
@@ -435,6 +468,22 @@ def pretrain(
         if writer is not None:
             writer.close()
     return state
+
+
+def _cut_metrics(path: Path, last_step: int) -> None:
+    """Cut a resumed run's ``metrics.jsonl`` back to its complete lines up to
+    ``last_step``, so the steps replayed after a crash are not written twice.
+    The file is replaced atomically; a missing file is left alone."""
+    if not path.exists():
+        return
+    kept = []
+    for line in path.read_text().splitlines(keepends=True):
+        if not line.endswith("\n") or json.loads(line)["step"] > last_step:
+            break
+        kept.append(line)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text("".join(kept))
+    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,118 @@ class TestOpGradients:
             return [x + np.sign(x.sum(axis=1, keepdims=True)) * 0.5]
         run_gradcheck(make, lambda t: ad.l2_normalize(t[0]))
 
+    def test_logsumexp_rows(self):
+        # row 0 keeps a single entry, row 1 every entry
+        mask = np.array([[0, 0, 1, 0, 0],
+                         [1, 1, 1, 1, 1],
+                         [1, 0, 1, 0, 1],
+                         [0, 1, 1, 1, 0]], dtype=bool)
+        run_gradcheck(lambda r: [r.standard_normal((4, 5)) * 3.0],
+                      lambda t: ad.logsumexp_rows(t[0], mask))
+
+    def test_logsumexp_rows_huge_value_range(self):
+        """Entries hundreds apart: the weights are nearly one-hot and the
+        shift by the row maximum must keep everything finite."""
+        mask = np.array([[1, 1, 0, 1], [0, 1, 0, 0], [1, 1, 1, 1]], dtype=bool)
+        run_gradcheck(lambda r: [r.uniform(-400.0, 400.0, (3, 4))],
+                      lambda t: ad.logsumexp_rows(t[0], mask))
+
+    def test_masked_row_sum(self):
+        mask = np.array([[0, 1, 0, 0], [1, 1, 0, 1], [0, 0, 0, 1]], dtype=bool)
+        run_gradcheck(lambda r: [r.standard_normal((3, 4))],
+                      lambda t: ad.masked_row_sum(t[0], mask))
+
+
+def add_at_rows(values, ids, num_rows):
+    """The reference scatter: one unbuffered in-order add per row."""
+    out = np.zeros((num_rows, values.shape[1]))
+    np.add.at(out, ids, values)
+    return out
+
+
+def scatter_cases():
+    """(values, ids, num_rows): duplicate ids, empty segments, d = 1, NaN
+    input, no rows at all, and two message-passing sized draws."""
+    rng = np.random.default_rng(11)
+    nan_vals = rng.standard_normal((6, 3))
+    nan_vals[2, 1] = np.nan
+    cases = [
+        (rng.standard_normal((5, 3)), np.array([0, 0, 2, 1, 2]), 4),
+        (rng.standard_normal((4, 2)), np.array([3, 3, 3, 3]), 6),
+        (rng.standard_normal((3, 1)), np.array([9, 0, 9]), 10),
+        (nan_vals, np.array([1, 1, 0, 0, 1, 3]), 4),
+        (np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 2),
+    ]
+    for e, n, d in ((600, 500, 32), (5000, 400, 32)):
+        cases.append((rng.standard_normal((e, d)), rng.integers(0, n, e), n))
+    return cases
+
+
+class TestScatterKernels:
+    """The bincount scatter must reproduce np.add.at bit for bit."""
+
+    def test_segment_sum_bit_identical(self):
+        for vals, ids, n in scatter_cases():
+            got = ad.segment_sum(ad.const(vals), ids, n).values
+            assert np.array_equal(got, add_at_rows(vals, ids, n), equal_nan=True)
+
+    def test_segment_mean_bit_identical(self):
+        for vals, ids, n in scatter_cases():
+            got = ad.segment_mean(ad.const(vals), ids, n).values
+            counts = np.bincount(ids, minlength=n).astype(np.float64)
+            want = add_at_rows(vals, ids, n) / np.maximum(counts, 1.0)[:, None]
+            assert np.array_equal(got, want, equal_nan=True)
+
+    def test_gather_rows_vjp_bit_identical(self):
+        for upstream, idx, n in scatter_cases():
+            tape = ad.Tape()
+            a = tape.leaf(np.ones((n, upstream.shape[1])))
+            loss = ad.sum_all(ad.mul(ad.gather_rows(a, idx), ad.const(upstream)))
+            got = ad.backward(tape, loss)[a]
+            assert np.array_equal(got, add_at_rows(upstream, idx, n), equal_nan=True)
+
+
+class TestMaskedRowOps:
+    def test_logsumexp_rows_matches_per_row_logsumexp(self):
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((5, 7)) * 4.0
+        mask = rng.random((5, 7)) < 0.5
+        mask[:, 0] = True
+        out = ad.logsumexp_rows(ad.const(x), mask).values
+        assert out.shape == (5, 1)
+        for i in range(5):
+            ref = ad.logsumexp(ad.const(x[i, mask[i]])).item()
+            assert abs(out[i, 0] - ref) < 1e-12
+
+    def test_logsumexp_rows_stable_and_ignores_masked_entries(self):
+        x = np.array([[1000.0, 1000.0, 1e308], [-1000.0, np.nan, -1000.0]])
+        mask = np.array([[1, 1, 0], [1, 0, 1]], dtype=bool)
+        out = ad.logsumexp_rows(ad.const(x), mask).values
+        np.testing.assert_allclose(
+            out[:, 0], [1000.0 + np.log(2.0), -1000.0 + np.log(2.0)], atol=1e-12
+        )
+
+    def test_logsumexp_rows_single_kept_entry_is_that_entry(self):
+        x = np.array([[3.5, -7.0, 2.0]])
+        out = ad.logsumexp_rows(ad.const(x), np.array([[0, 1, 0]], dtype=bool))
+        assert out.values[0, 0] == -7.0
+
+    def test_masked_row_sum_values(self):
+        x = np.array([[1.0, 2.0, 4.0], [8.0, 16.0, 32.0]])
+        mask = np.array([[1, 0, 1], [0, 0, 0]], dtype=bool)
+        out = ad.masked_row_sum(ad.const(x), mask).values
+        np.testing.assert_array_equal(out, [[5.0], [0.0]])
+
+    def test_masked_out_entries_get_zero_gradient(self):
+        tape = ad.Tape()
+        x = tape.leaf(np.array([[0.3, -1.2, 2.0], [0.5, 0.1, -0.4]]))
+        mask = np.array([[1, 0, 1], [0, 1, 1]], dtype=bool)
+        loss = ad.sum_all(ad.add(ad.logsumexp_rows(x, mask), ad.masked_row_sum(x, mask)))
+        grad = ad.backward(tape, loss)[x]
+        assert np.all(grad[~mask] == 0.0)
+        # softmax weights sum to one, plus one per kept entry of the row sum
+        np.testing.assert_allclose(grad.sum(axis=1), [3.0, 3.0], atol=1e-12)
+
 
 class TestCompositeGradients:
     def test_quadratic_sum_gradient_is_two_w(self):
@@ -315,6 +427,21 @@ class TestValidation:
     def test_segment_id_out_of_range(self):
         with pytest.raises(ValueError):
             ad.segment_sum(ad.const(np.ones((2, 2))), np.array([0, 5]), 3)
+
+    def test_logsumexp_rows_nan_in_kept_entry_raises_numeric_error(self):
+        x = ad.const(np.array([[0.0, np.nan]]))
+        with pytest.raises(ad.NumericError):
+            ad.logsumexp_rows(x, np.array([[True, True]]))
+
+    def test_logsumexp_rows_needs_a_kept_entry_per_row(self):
+        with pytest.raises(ValueError, match="kept entry"):
+            ad.logsumexp_rows(ad.const(np.ones((2, 3))),
+                              np.array([[1, 0, 0], [0, 0, 0]], dtype=bool))
+
+    def test_masked_ops_reject_mismatched_mask(self):
+        for op in (ad.logsumexp_rows, ad.masked_row_sum):
+            with pytest.raises(ValueError, match="mask"):
+                op(ad.const(np.ones((2, 3))), np.ones((3, 2), dtype=bool))
 
     def test_gather_index_out_of_range(self):
         with pytest.raises(ValueError):

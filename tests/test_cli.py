@@ -121,6 +121,19 @@ class TestConfigErrors:
         assert not (tmp / "never").exists()
         assert "rho" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field_name, value",
+        [("batch_size", 2.5), ("epochs", True), ("tau", "0.2"), ("encoder_dims", 32)],
+    )
+    def test_mistyped_field_is_config_error(self, workspace, capsys, field_name, value):
+        tmp, config_path, _ = workspace
+        config = json.loads((tmp / "config.json").read_text())
+        config[field_name] = value
+        write_json(tmp / "config.json", config)
+        assert main(["pretrain", "--config", config_path]) == 2
+        assert field_name in capsys.readouterr().err
+        assert not (tmp / "run" / "metrics.jsonl").exists()
+
     def test_unknown_field_is_named(self, workspace, capsys):
         tmp, _, data_path = workspace
         config = dict(CONFIG_CORE)

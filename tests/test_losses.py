@@ -132,6 +132,81 @@ class TestStructure:
         assert abs(report.total - su) < 1e-15
 
 
+def reference_loss(views, tau, lam):
+    """The per-anchor reference: sum of sufficiency_loss + lam *
+    independence_loss over anchors, as the tape total and the two means."""
+    n = views.num_anchors
+    su = [sufficiency_loss(views, i, tau) for i in range(n)]
+    ind = [independence_loss(views, i, tau) for i in range(n)] if views.c is not None else []
+    terms = [ad.add(s, ad.scale(x, lam)) for s, x in zip(su, ind)] if ind else su
+    total = terms[0]
+    for t in terms[1:]:
+        total = ad.add(total, t)
+    l_in = float(np.mean([t.item() for t in ind])) if ind else 0.0
+    return ad.scale(total, 1.0 / n), float(np.mean([t.item() for t in su])), l_in
+
+
+def close(a, b, tol=1e-12):
+    """|a - b| within tol, relative once the magnitude exceeds one (tau =
+    1e-3 puts logits near 1e3, where one ulp is about 1e-13)."""
+    return abs(a - b) <= tol * max(1.0, abs(b))
+
+
+class TestBatchedLossAgainstReference:
+    """rgcl_loss builds one similarity matrix; the per-anchor functions are
+    its reference, in value and in gradient."""
+
+    @staticmethod
+    def rows(seed, n, d, with_c, zero_rows):
+        rng = np.random.default_rng(seed)
+        arrays = [unit_rows(rng, n, d) for _ in range(3 if with_c else 2)]
+        if zero_rows:
+            # a dead projection head emits exactly-zero rows
+            arrays[0][0] = 0.0
+            arrays[1][n - 1] = 0.0
+            if with_c:
+                arrays[2][n // 2] = 0.0
+        return arrays
+
+    @pytest.mark.parametrize("n", [2, 5, 32])
+    @pytest.mark.parametrize("with_c", [True, False])
+    @pytest.mark.parametrize("lam", [0.1, 0.0])
+    @pytest.mark.parametrize("tau", [0.2, 1e-3])
+    @pytest.mark.parametrize("zero_rows", [False, True])
+    def test_value_and_gradients_match(self, n, with_c, lam, tau, zero_rows):
+        arrays = self.rows(n * 7 + int(zero_rows), n, 6, with_c, zero_rows)
+
+        def run(loss_fn):
+            tape = ad.Tape()
+            leaves = [tape.leaf(a) for a in arrays]
+            views = BatchViews(*leaves) if with_c else BatchViews(*leaves, c=None)
+            out = loss_fn(views)
+            store = ad.backward(tape, out[0])
+            return out, [store[leaf] for leaf in leaves]
+
+        (total, report), grads = run(lambda v: rgcl_loss(v, tau, lam))
+        (ref_total, ref_su, ref_in), ref_grads = run(lambda v: reference_loss(v, tau, lam))
+        assert close(total.item(), ref_total.item())
+        assert close(report.total, ref_total.item())
+        assert close(report.l_su, ref_su)
+        assert close(report.l_in, ref_in)
+        if with_c:
+            assert report.l_in != 0.0
+        for got, want in zip(grads, ref_grads):
+            scale = max(1.0, float(np.abs(want).max()))
+            assert float(np.abs(got - want).max()) <= 1e-12 * scale
+
+    def test_tape_records_do_not_grow_with_batch_size(self):
+        counts = []
+        for n in (2, 32):
+            tape = ad.Tape()
+            leaves = [tape.leaf(a) for a in self.rows(n, n, 6, True, False)]
+            before = tape.num_records
+            rgcl_loss(BatchViews(*leaves), 0.2, 0.1)
+            counts.append(tape.num_records - before)
+        assert counts[0] == counts[1]
+
+
 class TestInvariances:
     def test_orthogonal_rotation_leaves_losses_unchanged(self):
         """Both losses depend on rows only through inner products."""
@@ -262,6 +337,12 @@ class TestValidation:
             sufficiency_loss(views, 0, 0.0)
         with pytest.raises(ValueError, match="temperature"):
             rgcl_loss(views, tau=-1.0, lam=0.1)
+
+    def test_batched_loss_needs_two_anchors(self):
+        views = views_from(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]),
+                           np.array([[0.0, 1.0]]))
+        with pytest.raises(ValueError, match="N >= 2"):
+            rgcl_loss(views, tau=0.2, lam=0.1)
 
     def test_anchor_out_of_range(self):
         views = random_views(0)

@@ -129,6 +129,36 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             tiny_config(**overrides)
 
+    @pytest.mark.parametrize(
+        "field_name, value",
+        [
+            ("batch_size", 2.5),
+            ("batch_size", 4.0),
+            ("batch_size", True),
+            ("epochs", "2"),
+            ("seed", 1.5),
+            ("projector_hidden", 5.0),
+            ("projector_dim", None),
+            ("checkpoint_every", False),
+            ("learning_rate", "0.01"),
+            ("tau", True),
+            ("lam", float("nan")),
+            ("rho", None),
+            ("encoder_dims", (8, 6.5)),
+            ("generator_dims", "55"),
+            ("generator_head", (4, True)),
+            ("generator_head", ()),
+        ],
+    )
+    def test_rejects_wrong_types_with_the_field_name(self, field_name, value):
+        with pytest.raises(ValueError, match=field_name):
+            tiny_config(**{field_name: value})
+
+    def test_accepts_ints_for_float_fields_and_lists_for_dims(self):
+        cfg = tiny_config(tau=1, lam=0, encoder_dims=[8, 6], seed=np.int64(3))
+        assert cfg.encoder_dims == (8, 6)
+        assert cfg.tau == 1
+
     def test_dict_round_trip(self):
         cfg = tiny_config(tau=0.35, encoder_dims=(7, 7, 7))
         again = TrainConfig.from_dict(cfg.to_dict())
@@ -420,6 +450,33 @@ class TestCheckpoints:
         pretrain(small_dataset, cfg, state=state, output_dir=tmp_path / "resumed")
         resumed = (tmp_path / "resumed" / "metrics.jsonl").read_text().splitlines()
         assert resumed == full_lines[2:]
+
+    def test_resume_in_place_leaves_metrics_byte_identical(self, small_dataset, tmp_path):
+        """Crash after step 5 (last checkpoint at step 4), resume in the same
+        directory: the replayed step 5 must not appear twice, and every
+        artifact must match the uninterrupted run's bytes."""
+        cfg = tiny_config()  # 6 steps, checkpoints at 2, 4, 6
+        pretrain(small_dataset, cfg, output_dir=tmp_path / "full")
+        full = tmp_path / "full"
+        crashed = tmp_path / "crashed"
+        crashed.mkdir()
+        lines = (full / "metrics.jsonl").read_text().splitlines(keepends=True)
+        (crashed / "metrics.jsonl").write_text("".join(lines[:5]) + '{"step": 6, "l_')
+        (crashed / "ckpt_000004.json").write_bytes((full / "ckpt_000004.json").read_bytes())
+
+        state, _ = load_checkpoint(crashed / "ckpt_000004.json")
+        pretrain(small_dataset, cfg, state=state, output_dir=crashed)
+        for name in ("metrics.jsonl", "ckpt_000006.json", "ckpt_final.json"):
+            assert (crashed / name).read_bytes() == (full / name).read_bytes(), name
+
+    def test_resume_after_a_finished_run_rewrites_nothing_twice(self, small_dataset, tmp_path):
+        cfg = tiny_config()
+        run = tmp_path / "run"
+        pretrain(small_dataset, cfg, output_dir=run)
+        before = (run / "metrics.jsonl").read_bytes()
+        state, _ = load_checkpoint(run / "ckpt_000004.json")
+        pretrain(small_dataset, cfg, state=state, output_dir=run)
+        assert (run / "metrics.jsonl").read_bytes() == before
 
     def test_version_mismatch_rejected(self, small_dataset, tmp_path):
         cfg = tiny_config()

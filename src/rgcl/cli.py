@@ -36,6 +36,7 @@ from .training import (
     load_checkpoint,
     normalize_variant,
     pretrain,
+    write_text_atomic,
 )
 
 EXIT_OK = 0
@@ -134,10 +135,7 @@ def load_dataset_from_source(source: dict) -> GraphDataset:
     if "tu" in source:
         return load_tu_dataset(source["tu"])
     if "json" in source:
-        path = Path(source["json"])
-        if not path.exists():
-            raise GraphFormatError(f"dataset file not found: {path}")
-        return load_dataset_json(path)
+        return load_dataset_json(source["json"])
     synth = source["synthetic"]
     spec = _spec_from_dict(dict(synth.get("spec", {})))
     return generate_planted_motif_dataset(spec, int(synth["count"]))
@@ -215,7 +213,7 @@ def cmd_eval(args) -> int:
         rows.append(("view cosine r1*c", f"{comp:.4f}"))
     run.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = run.output_dir / "results.json"
-    out_path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(out_path, json.dumps(result, indent=2, sort_keys=True) + "\n")
     print(_summary_table(rows))
     print(f"results written to {out_path}")
     return EXIT_OK
@@ -224,12 +222,7 @@ def cmd_eval(args) -> int:
 def cmd_rationale(args) -> int:
     state, config = load_checkpoint(args.checkpoint)
     src = Path(args.dataset)
-    if src.is_dir():
-        dataset = load_tu_dataset(src)
-    else:
-        if not src.exists():
-            raise GraphFormatError(f"dataset file not found: {src}")
-        dataset = load_dataset_json(src)
+    dataset = load_dataset_from_source({"tu" if src.is_dir() else "json": src})
     records = export_rationales(
         dataset, state.generator, config.generator_config(), rho=config.rho
     )
@@ -267,8 +260,9 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"grid cell tau={tau} lambda={lam} rho={rho}: {exc}") from exc
         cell_dir = run.output_dir / f"tau{tau}_lam{lam}_rho{rho}_seed{seed}"
         result = run_ablation("full", dataset, cell_cfg, output_dir=cell_dir)
-        (cell_dir / "results.json").write_text(
-            json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
+        write_text_atomic(
+            cell_dir / "results.json",
+            json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n",
         )
         precision = "" if result.rationale is None else result.rationale.mean_precision
         rows.append([tau, lam, rho, seed, result.probe.test_accuracy, precision])

@@ -87,15 +87,9 @@ class PassCounter:
     """Counts encoder forward passes in units of graphs encoded."""
 
     graphs: int = 0
-    calls: int = 0
 
     def add(self, num_graphs: int) -> None:
         self.graphs += int(num_graphs)
-        self.calls += 1
-
-    def reset(self) -> None:
-        self.graphs = 0
-        self.calls = 0
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

@@ -236,6 +236,8 @@ def dataset_from_json(obj: dict) -> GraphDataset:
             x = np.asarray(item["x"], dtype=np.float64)
             if x.ndim == 1:
                 x = x.reshape(-1, 1)
+            if not np.isfinite(x).all():
+                raise ValueError("node features must be finite (found NaN or inf)")
             edges = canonical_edges(item.get("edges", []), x.shape[0])
             graphs.append(
                 Graph(

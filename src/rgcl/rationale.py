@@ -53,24 +53,18 @@ class AttributionScores:
 
 
 @dataclass
-class RationaleView:
+class View:
     """A sampled subgraph plus the attribution rows for its kept nodes.
 
     ``kept`` holds original node indices in ascending order, matching the
     subgraph's dense re-indexing, so ``attribution[i]`` belongs to
-    ``subgraph`` node i.
+    ``subgraph`` node i. A rationale view carries p per kept node; a
+    complement view carries 1 - p, clamped into (0, 1).
     """
 
     subgraph: Graph
     kept: np.ndarray
     attribution: Tensor
-
-
-@dataclass
-class ComplementView:
-    subgraph: Graph
-    kept: np.ndarray
-    attribution: Tensor  # 1 - p per kept node, clamped into (0, 1)
 
 
 def attribute_nodes(
@@ -112,9 +106,7 @@ def gumbel_top_k(weights: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     return np.sort(np.argpartition(keys, -k)[-k:])
 
 
-def rationale_from_kept(
-    g: Graph, scores: AttributionScores, kept: np.ndarray
-) -> RationaleView:
+def rationale_from_kept(g: Graph, scores: AttributionScores, kept: np.ndarray) -> View:
     """Assemble a rationale view for an already-chosen node set.
 
     The attribution rows are gathered straight from ``scores``, so gradient
@@ -122,35 +114,28 @@ def rationale_from_kept(
     """
     if scores.num_nodes != g.num_nodes:
         raise ValueError("scores and graph disagree on node count")
-    return RationaleView(
+    return View(
         subgraph=induced_subgraph(g, kept),
         kept=kept,
         attribution=ad.gather_rows(scores.probs, kept),
     )
 
 
-def complement_from_kept(
-    g: Graph, scores: AttributionScores, kept: np.ndarray
-) -> ComplementView:
+def complement_from_kept(g: Graph, scores: AttributionScores, kept: np.ndarray) -> View:
     """Assemble a complement view (weights 1 - p) for a chosen node set.
 
     The weights are clamped into (0, 1) so a single-node graph (p = 1)
     still carries a usable weight.
     """
-    if scores.num_nodes != g.num_nodes:
-        raise ValueError("scores and graph disagree on node count")
+    view = rationale_from_kept(g, scores, kept)
     ones = ad.const(np.ones((kept.size, 1)))
-    attribution = ad.clip(
-        ad.sub(ones, ad.gather_rows(scores.probs, kept)), WEIGHT_FLOOR, WEIGHT_CEIL
-    )
-    return ComplementView(
-        subgraph=induced_subgraph(g, kept), kept=kept, attribution=attribution
-    )
+    view.attribution = ad.clip(ad.sub(ones, view.attribution), WEIGHT_FLOOR, WEIGHT_CEIL)
+    return view
 
 
 def sample_rationale(
     g: Graph, scores: AttributionScores, rho: float, rng: np.random.Generator
-) -> RationaleView:
+) -> View:
     """Draw one rationale view: nodes weighted by p(v | g)."""
     k = view_size(g.num_nodes, rho)
     kept = gumbel_top_k(scores.probs.values.reshape(-1), k, rng)
@@ -159,7 +144,7 @@ def sample_rationale(
 
 def sample_complement(
     g: Graph, scores: AttributionScores, rho: float, rng: np.random.Generator
-) -> ComplementView:
+) -> View:
     """Draw one complement view: nodes weighted by 1 - p(v | g)."""
     k = view_size(g.num_nodes, rho)
     p = scores.probs.values.reshape(-1)

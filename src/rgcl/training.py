@@ -47,6 +47,7 @@ from .losses import (
 )
 from .params import assign_arrays, lift_params, named_arrays, named_leaves
 from .rationale import (
+    AttributionScores,
     attribute_nodes,
     complement_from_kept,
     gumbel_top_k,
@@ -55,7 +56,7 @@ from .rationale import (
     view_size,
 )
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 VARIANTS = ("full", "no_rationale_views", "no_independence")
 _VARIANT_ALIASES = {"no_rv": "no_rationale_views", "no_i": "no_independence"}
 
@@ -173,10 +174,22 @@ class TrainConfig:
 
 
 @dataclass
-class TrainState:
+class ModelParams:
+    """The three jointly trained networks as one parameter tree.
+
+    The field order fixes the order of the tape leaves and the flat names
+    (``encoder.layers.0.w1``, ...) used by the optimizer and checkpoints.
+    """
+
     encoder: EncoderParams
     generator: EncoderParams
     projector: ProjectorParams
+
+
+@dataclass
+class TrainState:
+    params: ModelParams
+    input_dim: int
     opt_m: dict[str, np.ndarray]
     opt_v: dict[str, np.ndarray]
     step: int
@@ -188,46 +201,32 @@ class TrainState:
     encoder_passes: PassCounter = field(default_factory=PassCounter)
     anchors_seen: int = 0
 
-
-def _named_params(state: TrainState) -> dict[str, np.ndarray]:
-    out = {}
-    out.update(named_arrays(state.encoder, "encoder"))
-    out.update(named_arrays(state.generator, "generator"))
-    out.update(named_arrays(state.projector, "projector"))
-    return out
-
-
-def _assign_params(state: TrainState, arrays: dict[str, np.ndarray]) -> None:
-    for prefix, tree in (
-        ("encoder", state.encoder),
-        ("generator", state.generator),
-        ("projector", state.projector),
-    ):
-        subset = {k: v for k, v in arrays.items() if k.startswith(prefix + ".")}
-        assign_arrays(tree, subset, prefix)
+    # the three trees inside ``params``, readable under their own names
+    encoder = property(lambda self: self.params.encoder)
+    generator = property(lambda self: self.params.generator)
+    projector = property(lambda self: self.params.projector)
 
 
 def init_train_state(config: TrainConfig, input_dim: int) -> TrainState:
     """Fresh parameters and optimizer state, fully determined by the seed."""
     seeds = np.random.SeedSequence(config.seed).generate_state(4)
-    encoder = init_params(config.encoder_config(), input_dim, int(seeds[0]))
-    generator = init_params(config.generator_config(), input_dim, int(seeds[1]))
-    projector = init_projector_params(
-        config.encoder_dims[-1], config.projector_hidden, config.projector_dim, int(seeds[2])
+    params = ModelParams(
+        encoder=init_params(config.encoder_config(), input_dim, int(seeds[0])),
+        generator=init_params(config.generator_config(), input_dim, int(seeds[1])),
+        projector=init_projector_params(
+            config.encoder_dims[-1], config.projector_hidden, config.projector_dim,
+            int(seeds[2]),
+        ),
     )
-    state = TrainState(
-        encoder=encoder,
-        generator=generator,
-        projector=projector,
-        opt_m={},
-        opt_v={},
+    flat = named_arrays(params)
+    return TrainState(
+        params=params,
+        input_dim=int(input_dim),
+        opt_m={k: np.zeros_like(v) for k, v in flat.items()},
+        opt_v={k: np.zeros_like(v) for k, v in flat.items()},
         step=0,
         rng=np.random.default_rng(int(seeds[3])),
     )
-    flat = _named_params(state)
-    state.opt_m = {k: np.zeros_like(v) for k, v in flat.items()}
-    state.opt_v = {k: np.zeros_like(v) for k, v in flat.items()}
-    return state
 
 
 def adam_update(
@@ -264,6 +263,14 @@ class FrozenSelection:
     c: np.ndarray | None
 
 
+def _node_scores(
+    g: Graph, generator: EncoderParams, gen_cfg: EncoderConfig, variant: str
+) -> AttributionScores:
+    if variant == "no_rationale_views":
+        return uniform_scores(g)
+    return attribute_nodes(g, generator, gen_cfg)
+
+
 def sample_selections(
     graphs: list[Graph],
     generator: EncoderParams,
@@ -280,11 +287,7 @@ def sample_selections(
     out = []
     for g in graphs:
         child = np.random.default_rng(int(rng.integers(2**63)))
-        if variant == "no_rationale_views":
-            scores = uniform_scores(g)
-        else:
-            scores = attribute_nodes(g, generator, gen_cfg)
-        p = scores.probs.values.reshape(-1)
+        p = _node_scores(g, generator, gen_cfg, variant).probs.values.reshape(-1)
         k = view_size(g.num_nodes, config.rho)
         r1 = gumbel_top_k(p, k, child)
         r2 = gumbel_top_k(p, k, child)
@@ -312,10 +315,7 @@ def encode_views(
     enc_cfg = config.encoder_config()
     r1_views, r2_views, c_views = [], [], []
     for g, sel in zip(graphs, selections):
-        if variant == "no_rationale_views":
-            scores = uniform_scores(g)
-        else:
-            scores = attribute_nodes(g, generator, gen_cfg)
+        scores = _node_scores(g, generator, gen_cfg, variant)
         r1_views.append(rationale_from_kept(g, scores, sel.r1))
         r2_views.append(rationale_from_kept(g, scores, sel.r2))
         if sel.c is not None:
@@ -368,13 +368,11 @@ def train_step(
     selections = sample_selections(graphs, state.generator, config, state.rng, variant)
 
     tape = ad.Tape()
-    enc_l = lift_params(state.encoder, tape)
-    gen_l = lift_params(state.generator, tape)
-    proj_l = lift_params(state.projector, tape)
+    lifted = lift_params(state.params, tape)
     try:
         total, report, _ = batch_views_loss(
-            graphs, selections, enc_l, gen_l, proj_l, config, variant,
-            counter=state.encoder_passes,
+            graphs, selections, lifted.encoder, lifted.generator, lifted.projector,
+            config, variant, counter=state.encoder_passes,
         )
     except NumericError as exc:
         raise NumericError(f"step {state.step}: {exc}") from exc
@@ -387,16 +385,12 @@ def train_step(
         )
 
     store = ad.backward(tape, total)
-    leaves = {}
-    leaves.update(named_leaves(enc_l, "encoder"))
-    leaves.update(named_leaves(gen_l, "generator"))
-    leaves.update(named_leaves(proj_l, "projector"))
-    grads = {k: store[t] for k, t in leaves.items()}
+    grads = {k: store[t] for k, t in named_leaves(lifted).items()}
     new_params, state.opt_m, state.opt_v = adam_update(
-        _named_params(state), grads, state.opt_m, state.opt_v,
+        named_arrays(state.params), grads, state.opt_m, state.opt_v,
         config.learning_rate, state.step + 1,
     )
-    _assign_params(state, new_params)
+    assign_arrays(state.params, new_params)
     state.step += 1
     state.anchors_seen += len(graphs)
     state.loss_history.append(report.total)
@@ -481,9 +475,19 @@ def _cut_metrics(path: Path, last_step: int) -> None:
         if not line.endswith("\n") or json.loads(line)["step"] > last_step:
             break
         kept.append(line)
+    write_text_atomic(path, "".join(kept))
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` to a sibling temp file, then ``os.replace`` it onto
+    ``path``: a crash or a failed write leaves the old file whole."""
+    path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("".join(kept))
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +501,15 @@ def _pack_arrays(arrays: dict[str, np.ndarray]) -> dict:
     }
 
 
-def _unpack_arrays(payload: dict, what: str) -> dict[str, np.ndarray]:
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise CheckpointFormatError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _unpack_arrays(payload, what: str) -> dict[str, np.ndarray]:
     out = {}
-    for k, item in payload.items():
+    for k, item in _json_object(payload, f"{what} section").items():
         try:
             arr = np.asarray(item["values"], dtype=np.float64).reshape(item["shape"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -514,13 +524,10 @@ def save_checkpoint(state: TrainState, path, config: TrainConfig) -> None:
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "config": config.to_dict(),
+        "input_dim": state.input_dim,
         "step": state.step,
-        "params": _pack_arrays(_named_params(state)),
-        "opt": {
-            "m": _pack_arrays(state.opt_m),
-            "v": _pack_arrays(state.opt_v),
-            "t": state.step,
-        },
+        "params": _pack_arrays(named_arrays(state.params)),
+        "opt": {"m": _pack_arrays(state.opt_m), "v": _pack_arrays(state.opt_v)},
         "rng": {
             "master": state.rng.bit_generator.state,
             "epoch": state.epoch,
@@ -528,7 +535,7 @@ def save_checkpoint(state: TrainState, path, config: TrainConfig) -> None:
             "epoch_perm_seed": state.epoch_perm_seed,
         },
     }
-    Path(path).write_text(json.dumps(payload))
+    write_text_atomic(path, json.dumps(payload))
 
 
 def load_checkpoint(path, expected_config: TrainConfig | None = None):
@@ -546,9 +553,12 @@ def load_checkpoint(path, expected_config: TrainConfig | None = None):
         payload = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise CheckpointFormatError(f"{p}: invalid JSON ({exc})") from exc
-    if payload.get("format_version") != CHECKPOINT_VERSION:
+    payload = _json_object(payload, f"{p}: checkpoint")
+    version = payload.get("format_version")
+    if version != CHECKPOINT_VERSION:
         raise CheckpointFormatError(
-            f"unsupported checkpoint version {payload.get('format_version')!r}"
+            f"{p}: unsupported checkpoint version {version!r}"
+            f" (this build reads version {CHECKPOINT_VERSION})"
         )
     try:
         config = TrainConfig.from_dict(payload["config"])
@@ -557,25 +567,18 @@ def load_checkpoint(path, expected_config: TrainConfig | None = None):
     if expected_config is not None:
         config = expected_config
 
-    params = _unpack_arrays(payload.get("params", {}), "parameter")
-    first_key = (
-        "encoder.layers.0.w1" if config.encoder_gnn == "gin" else "encoder.layers.0.w"
-    )
-    if first_key not in params:
-        raise CheckpointFormatError(f"checkpoint is missing {first_key}")
-    input_dim = int(params[first_key].shape[0])
-
-    state = init_train_state(config, input_dim)
     try:
-        _assign_params(state, params)
-        opt = payload["opt"]
+        state = init_train_state(config, int(payload["input_dim"]))
+        params = _unpack_arrays(payload["params"], "parameter")
+        assign_arrays(state.params, params)
+        opt = _json_object(payload["opt"], "opt section")
         m = _unpack_arrays(opt["m"], "optimizer-m")
         v = _unpack_arrays(opt["v"], "optimizer-v")
         if set(m) != set(params) or set(v) != set(params):
             raise ValueError("optimizer state does not cover the parameters")
         state.opt_m, state.opt_v = m, v
         state.step = int(payload["step"])
-        rng_info = payload["rng"]
+        rng_info = _json_object(payload["rng"], "rng section")
         state.rng.bit_generator.state = rng_info["master"]
         state.epoch = int(rng_info["epoch"])
         state.epoch_cursor = int(rng_info["epoch_cursor"])

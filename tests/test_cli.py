@@ -199,6 +199,36 @@ class TestDataErrors:
         assert main(["eval", "--config", wide_path,
                      "--checkpoint", str(tmp / "run" / "ckpt_final.json")]) == 3
 
+    def test_non_finite_features_exit_3(self, workspace, capsys):
+        tmp, config_path, data_path = workspace
+        payload = json.loads(data_path.read_text())
+        payload["graphs"][2]["x"][0][0] = float("nan")
+        data_path.write_text(json.dumps(payload))
+        assert main(["pretrain", "--config", config_path]) == 3
+        assert "graph 2: node features must be finite" in capsys.readouterr().err
+
+    def test_missing_rationale_dataset_exits_3(self, workspace):
+        tmp, config_path, _ = workspace
+        assert main(["pretrain", "--config", config_path]) == 0
+        assert main(["rationale", "--checkpoint", str(tmp / "run" / "ckpt_final.json"),
+                     "--dataset", str(tmp / "absent.json"),
+                     "--out", str(tmp / "export.json")]) == 3
+
+    @pytest.mark.parametrize("command", ["eval", "rationale"])
+    @pytest.mark.parametrize(
+        "payload", [[], {"format_version": 1, "config": {}, "params": [1]}],
+        ids=["list", "v1-params-list"],
+    )
+    def test_non_object_checkpoint_exits_3(self, workspace, command, payload):
+        tmp, config_path, data_path = workspace
+        ckpt = write_json(tmp / "ckpt.json", payload)
+        if command == "eval":
+            argv = ["eval", "--config", config_path, "--checkpoint", ckpt]
+        else:
+            argv = ["rationale", "--checkpoint", ckpt, "--dataset", str(data_path),
+                    "--out", str(tmp / "export.json")]
+        assert main(argv) == 3
+
     def test_truncated_checkpoint(self, workspace):
         tmp, config_path, _ = workspace
         assert main(["pretrain", "--config", config_path]) == 0

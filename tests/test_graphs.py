@@ -183,6 +183,12 @@ class TestJsonInterchange:
         with pytest.raises(GraphFormatError, match="graph 0"):
             dataset_from_json(obj)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_features_raise_format_error(self, bad):
+        obj = {"graphs": [{"x": [[1.0]]}, {"x": [[1.0], [bad]]}], "feature_dim": 1}
+        with pytest.raises(GraphFormatError, match="graph 1: node features must be finite"):
+            dataset_from_json(obj)
+
 
 class TestGraphDataset:
     def test_feature_dim_enforced(self):

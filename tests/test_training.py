@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 import rgcl.autodiff as ad
+import rgcl.training as training
 from oracles import finite_difference, jitter_params, max_rel_err
 from rgcl.datasets import PlantedMotifSpec, generate_planted_motif_dataset
 from rgcl.training import (
     CheckpointFormatError,
     TrainConfig,
-    TrainState,
     adam_update,
     batch_views_loss,
     init_train_state,
@@ -192,19 +192,10 @@ class TestTrainStep:
     def test_all_three_param_groups_move(self, small_dataset):
         cfg = tiny_config()
         state = init_train_state(cfg, small_dataset.feature_dim)
-        before = {k: v.copy() for k, v in named_arrays(state.encoder, "encoder").items()}
-        before.update(
-            {k: v.copy() for k, v in named_arrays(state.generator, "generator").items()}
-        )
-        before.update(
-            {k: v.copy() for k, v in named_arrays(state.projector, "projector").items()}
-        )
+        before = {k: v.copy() for k, v in named_arrays(state.params).items()}
         graphs = [small_dataset[i] for i in range(4)]
         train_step(state, graphs, cfg)
-        after = {}
-        after.update(named_arrays(state.encoder, "encoder"))
-        after.update(named_arrays(state.generator, "generator"))
-        after.update(named_arrays(state.projector, "projector"))
+        after = named_arrays(state.params)
         for prefix in ("encoder", "generator", "projector"):
             moved = any(
                 not np.array_equal(before[k], after[k])
@@ -220,10 +211,7 @@ class TestTrainStep:
         for _ in range(2):
             state = init_train_state(cfg, small_dataset.feature_dim)
             state, report = train_step(state, graphs, cfg)
-            flat = {}
-            flat.update(named_arrays(state.encoder, "encoder"))
-            flat.update(named_arrays(state.generator, "generator"))
-            flat.update(named_arrays(state.projector, "projector"))
+            flat = named_arrays(state.params)
             results.append((report.total, {k: v.copy() for k, v in flat.items()}))
         assert results[0][0] == results[1][0]
         for k in results[0][1]:
@@ -301,21 +289,13 @@ class TestFullPipelineGradient:
             selections = sample_selections(graphs, state.generator, cfg, rng)
 
             tape = ad.Tape()
-            enc_l = lift_params(state.encoder, tape)
-            gen_l = lift_params(state.generator, tape)
-            proj_l = lift_params(state.projector, tape)
+            lifted = lift_params(state.params, tape)
             total, _, _ = batch_views_loss(
-                graphs, selections, enc_l, gen_l, proj_l, cfg
+                graphs, selections, lifted.encoder, lifted.generator, lifted.projector, cfg
             )
             store = ad.backward(tape, total)
-            leaves = {}
-            leaves.update(named_leaves(enc_l, "encoder"))
-            leaves.update(named_leaves(gen_l, "generator"))
-            leaves.update(named_leaves(proj_l, "projector"))
-            flat = {}
-            flat.update(named_arrays(state.encoder, "encoder"))
-            flat.update(named_arrays(state.generator, "generator"))
-            flat.update(named_arrays(state.projector, "projector"))
+            leaves = named_leaves(lifted)
+            flat = named_arrays(state.params)
 
             names = sorted(flat)
             arrays = [flat[k] for k in names]
@@ -392,13 +372,6 @@ class TestPretrainLoop:
 
 
 class TestCheckpoints:
-    def _fingerprint(self, state: TrainState):
-        flat = {}
-        flat.update(named_arrays(state.encoder, "encoder"))
-        flat.update(named_arrays(state.generator, "generator"))
-        flat.update(named_arrays(state.projector, "projector"))
-        return flat
-
     def test_round_trip_is_bit_exact(self, small_dataset, tmp_path):
         cfg = tiny_config()
         state = init_train_state(cfg, small_dataset.feature_dim)
@@ -414,7 +387,7 @@ class TestCheckpoints:
         assert loaded.epoch_cursor == state.epoch_cursor
         assert loaded.epoch_perm_seed == state.epoch_perm_seed
         assert loaded.rng.bit_generator.state == state.rng.bit_generator.state
-        a, b = self._fingerprint(state), self._fingerprint(loaded)
+        a, b = named_arrays(state.params), named_arrays(loaded.params)
         for k in a:
             assert np.array_equal(a[k], b[k]), k
         for k in state.opt_m:
@@ -432,7 +405,7 @@ class TestCheckpoints:
         state, ra = train_step(state, graphs, cfg)
         loaded, rb = train_step(loaded, graphs, cfg)
         assert ra.total == rb.total
-        a, b = self._fingerprint(state), self._fingerprint(loaded)
+        a, b = named_arrays(state.params), named_arrays(loaded.params)
         for k in a:
             assert np.array_equal(a[k], b[k]), k
 
@@ -478,15 +451,78 @@ class TestCheckpoints:
         pretrain(small_dataset, cfg, state=state, output_dir=run)
         assert (run / "metrics.jsonl").read_bytes() == before
 
-    def test_version_mismatch_rejected(self, small_dataset, tmp_path):
+    def test_input_dim_is_stored_and_a_gcn_encoder_round_trips(self, small_dataset, tmp_path):
+        cfg = tiny_config(encoder_gnn="gcn", generator_gnn="gin")
+        state = init_train_state(cfg, small_dataset.feature_dim)
+        train_step(state, [small_dataset[i] for i in range(4)], cfg)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(state, path, cfg)
+        payload = json.loads(path.read_text())
+        assert payload["format_version"] == 2
+        assert payload["input_dim"] == small_dataset.feature_dim == 5
+        assert "t" not in payload["opt"]
+        loaded, loaded_cfg = load_checkpoint(path)
+        assert loaded_cfg == cfg and loaded.input_dim == 5
+        a, b = named_arrays(state.params), named_arrays(loaded.params)
+        assert list(a) == list(b)
+        for k in a:
+            assert np.array_equal(a[k], b[k]), k
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda p: [],
+            lambda p: dict(p, params=[1]),
+            lambda p: dict(p, opt=[]),
+            lambda p: dict(p, opt={"m": [], "v": {}}),
+            lambda p: dict(p, rng=None),
+            lambda p: dict(p, input_dim=2.5),
+            lambda p: {k: v for k, v in p.items() if k != "input_dim"},
+        ],
+        ids=["list", "params-list", "opt-list", "opt-m-list",
+             "rng-null", "input-dim-float", "input-dim-missing"],
+    )
+    def test_malformed_payload_raises_format_error(self, small_dataset, tmp_path, mutate):
+        cfg = tiny_config()
+        state = init_train_state(cfg, small_dataset.feature_dim)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(state, path, cfg)
+        path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+        with pytest.raises(CheckpointFormatError):
+            load_checkpoint(path)
+
+    def test_failed_save_leaves_the_previous_checkpoint_intact(
+        self, small_dataset, tmp_path, monkeypatch
+    ):
+        cfg = tiny_config()
+        state = init_train_state(cfg, small_dataset.feature_dim)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(state, path, cfg)
+        first = path.read_bytes()
+        train_step(state, [small_dataset[i] for i in range(4)], cfg)
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(training.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(state, path, cfg)
+        monkeypatch.undo()
+        assert path.read_bytes() == first
+        assert [f.name for f in tmp_path.iterdir()] == ["ckpt.json"]
+        loaded, _ = load_checkpoint(path)
+        assert loaded.step == 0
+
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_version_mismatch_rejected(self, small_dataset, tmp_path, version):
         cfg = tiny_config()
         state = init_train_state(cfg, small_dataset.feature_dim)
         path = tmp_path / "ckpt.json"
         save_checkpoint(state, path, cfg)
         payload = json.loads(path.read_text())
-        payload["format_version"] = 99
+        payload["format_version"] = version
         path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointFormatError, match="version"):
+        with pytest.raises(CheckpointFormatError, match=f"version {version} .*reads version 2"):
             load_checkpoint(path)
 
     def test_truncated_file_rejected(self, small_dataset, tmp_path):

@@ -77,7 +77,6 @@ class Tape:
 
     def __init__(self):
         self._records: list[_Record] = []
-        self._shapes: dict[int, tuple[int, ...]] = {}
         self._next_id = 0
         self._consumed = False
 
@@ -98,7 +97,6 @@ class Tape:
     def _node(self, values: np.ndarray) -> Tensor:
         node_id = self._next_id
         self._next_id += 1
-        self._shapes[node_id] = values.shape
         return Tensor(values, tape=self, node_id=node_id)
 
     def _emit(self, values: np.ndarray, parents: Sequence[tuple[Tensor, Callable]]) -> Tensor:
@@ -125,7 +123,7 @@ class GradientStore:
         if g is None:
             # Reachable-from-nothing nodes (e.g. an unused parameter) get a
             # well-defined zero gradient of the right shape.
-            return np.zeros(self._tape._shapes[t.node_id])
+            return np.zeros(t.shape)
         return g
 
 

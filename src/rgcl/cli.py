@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import itertools
 import json
 import os
@@ -28,7 +29,9 @@ from .evaluation import (
     embed_graphs,
     view_similarities,
 )
-from .graphs import GraphDataset, GraphFormatError, dataset_hash, load_dataset_json, save_dataset_json
+from .graphs import (
+    GraphDataset, GraphFormatError, dataset_hash, load_dataset_json, require_int, save_dataset_json,
+)
 from .rationale import export_rationales
 from .training import (
     CheckpointFormatError,
@@ -65,12 +68,6 @@ def _load_json(path, what: str) -> dict:
 
 
 def _spec_from_dict(d: dict) -> PlantedMotifSpec:
-    known = {f.name for f in dataclasses.fields(PlantedMotifSpec)}
-    unknown = set(d) - known
-    if unknown:
-        raise ConfigError(f"unknown synthetic-spec fields: {sorted(unknown)}")
-    if "background_size_range" in d:
-        d = dict(d, background_size_range=tuple(d["background_size_range"]))
     try:
         return PlantedMotifSpec(**d)
     except (TypeError, ValueError) as exc:
@@ -125,8 +122,12 @@ def load_run_config(path) -> RunConfig:
         synth = source["synthetic"]
         if not isinstance(synth, dict) or "count" not in synth:
             raise ConfigError('synthetic source needs {"spec": {...}, "count": M}')
-        _spec_from_dict(dict(synth.get("spec", {})))  # validate eagerly
-        if int(synth["count"]) < 1:
+        _spec_from_dict(synth.get("spec", {}))  # validate eagerly
+        try:
+            count = require_int("count", synth["count"])
+        except ValueError as exc:
+            raise ConfigError(f"synthetic {exc}") from exc
+        if count < 1:
             raise ConfigError("synthetic count must be >= 1")
     return RunConfig(train=train, dataset_source=source, output_dir=output_dir)
 
@@ -137,8 +138,8 @@ def load_dataset_from_source(source: dict) -> GraphDataset:
     if "json" in source:
         return load_dataset_json(source["json"])
     synth = source["synthetic"]
-    spec = _spec_from_dict(dict(synth.get("spec", {})))
-    return generate_planted_motif_dataset(spec, int(synth["count"]))
+    spec = _spec_from_dict(synth.get("spec", {}))
+    return generate_planted_motif_dataset(spec, synth["count"])
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +229,7 @@ def cmd_rationale(args) -> int:
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(records, indent=2) + "\n")
+    write_text_atomic(out, json.dumps(records, indent=2) + "\n")
     print(f"exported per-node probabilities for {len(records)} graphs to {out}")
     return EXIT_OK
 
@@ -273,12 +274,11 @@ def cmd_sweep(args) -> int:
 
     run.output_dir.mkdir(parents=True, exist_ok=True)
     csv_path = run.output_dir / "sweep.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["tau", "lambda", "rho", "seed", "probe_test_acc", "rationale_precision"]
-        )
-        writer.writerows(rows)
+    table = io.StringIO()
+    writer = csv.writer(table)
+    writer.writerow(["tau", "lambda", "rho", "seed", "probe_test_acc", "rationale_precision"])
+    writer.writerows(rows)
+    write_text_atomic(csv_path, table.getvalue())
     print(f"aggregate written to {csv_path}")
     return EXIT_OK
 

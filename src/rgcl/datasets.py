@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import Graph, GraphDataset, GraphFormatError, canonical_edges
+from .graphs import Graph, GraphDataset, GraphFormatError, canonical_edges, check_field_types
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +170,14 @@ class PlantedMotifSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(
+            self,
+            ints=("motif_size", "num_classes", "feature_dim", "seed"),
+            floats=("noise_std", "edge_prob_background"),
+            int_tuples=("background_size_range",),
+        )
+        if len(self.background_size_range) != 2:
+            raise ValueError("background_size_range must be [min, max]")
         lo, hi = self.background_size_range
         if self.motif_size < 2:
             raise ValueError("motif_size must be >= 2")

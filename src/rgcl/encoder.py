@@ -171,12 +171,11 @@ def gcn_layer(batch: GraphBatch, h: Tensor, p: GcnLayerParams) -> Tensor:
 
 
 def node_embeddings(batch: GraphBatch, params: EncoderParams, config: EncoderConfig) -> Tensor:
-    """Stacked message-passing layers; no pooling, no attribution."""
+    """Stacked message-passing layers on a lifted tree; no pooling, no attribution."""
     if len(params.layers) != len(config.layer_dims):
         raise ValueError(
             f"params have {len(params.layers)} layers, config expects {len(config.layer_dims)}"
         )
-    params = lift_params(params, None)  # no-op on already-lifted trees
     h = ad.const(batch.node_features)
     last = len(params.layers) - 1
     for i, layer in enumerate(params.layers):
@@ -203,7 +202,7 @@ def encode_graph(
     path through which attribution receives gradient. ``attribution=None``
     behaves exactly like an all-ones column.
     """
-    h = node_embeddings(batch, params, config)
+    h = node_embeddings(batch, lift_params(params, None), config)
     if attribution is not None:
         if attribution.shape != (batch.num_nodes, 1):
             raise ValueError(

@@ -33,6 +33,9 @@ from .training import (
     sample_selections,
 )
 
+PROBE_STOP_NORM = 1e-6
+PROBE_MAX_ITERS = 5000
+
 
 def embed_graphs(
     dataset: GraphDataset, encoder_params: EncoderParams, config: EncoderConfig
@@ -73,15 +76,13 @@ def linear_probe(
     split_seed: int = 0,
     train_fraction: float = 0.8,
     l2: float = 1e-4,
-    grad_tol: float = 1e-6,
-    max_iters: int = 5000,
 ) -> ProbeResult:
     """Multinomial logistic regression on frozen embeddings.
 
     Full-batch gradient descent with a fixed step of 1/L, where L bounds
     the loss curvature (sigma_max(X)^2 / (2M) for the softmax
     cross-entropy, plus the ridge term), run until the gradient norm drops
-    below ``grad_tol`` or ``max_iters`` is hit. The L2 penalty applies to
+    below ``PROBE_STOP_NORM`` or ``PROBE_MAX_ITERS`` is hit. The L2 penalty applies to
     the weights only, not the intercept. Everything is deterministic given
     ``split_seed``.
     """
@@ -112,13 +113,13 @@ def linear_probe(
     ridge_mask = np.ones_like(w)
     ridge_mask[-1] = 0.0  # leave the intercept unpenalized
     iterations = 0
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, PROBE_MAX_ITERS + 1):
         logits = xt @ w
         logits -= logits.max(axis=1, keepdims=True)
         p = np.exp(logits)
         p /= p.sum(axis=1, keepdims=True)
         grad = xt.T @ (p - onehot) / len(tr) + l2 * (w * ridge_mask)
-        if np.linalg.norm(grad) < grad_tol:
+        if np.linalg.norm(grad) < PROBE_STOP_NORM:
             break
         w -= step * grad
 
@@ -228,14 +229,11 @@ class AblationResult:
         }
 
 
-def random_init_probe(
-    dataset: GraphDataset, config: TrainConfig, train_fraction: float = 0.8
-) -> ProbeResult:
+def random_init_probe(dataset: GraphDataset, config: TrainConfig) -> ProbeResult:
     """Probe accuracy from the untrained encoder — the no-pre-training arm."""
     state = init_train_state(config, dataset.feature_dim)
     emb = embed_graphs(dataset, state.encoder, config.encoder_config())
-    return linear_probe(emb, dataset.labels(), split_seed=config.seed,
-                        train_fraction=train_fraction)
+    return linear_probe(emb, dataset.labels(), split_seed=config.seed)
 
 
 def run_ablation(

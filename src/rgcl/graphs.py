@@ -3,7 +3,7 @@ interchange format with a content hash.
 
 Undirected graphs are stored with every edge duplicated in both directions,
 which keeps message passing a plain gather/scatter. Constructors that read
-external data symmetrize and sort edge lists into a canonical order so that
+external data add every reverse edge and sort edge lists into a canonical order so that
 serialization (and therefore the dataset hash) is reproducible byte for byte.
 """
 
@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,16 +23,44 @@ class GraphFormatError(ValueError):
     """A graph file or payload violates the expected format."""
 
 
-def canonical_edges(edges, num_nodes: int, symmetrize: bool = True) -> np.ndarray:
-    """Validate, optionally symmetrize, deduplicate, and sort an edge list."""
+def require_int(name: str, value) -> int:
+    """Return ``value`` as an int if it is an integer, else raise
+    ``ValueError`` naming ``name``. bool is an int subclass, but a JSON
+    true/false in an integer field is a typo, not a 1/0."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name}: must be an integer, got {value!r}")
+    return int(value)
+
+
+def check_field_types(obj, ints=(), floats=(), int_tuples=()) -> None:
+    """Type-check the named fields of a frozen dataclass from its
+    ``__post_init__``: integers by :func:`require_int`, floats as finite
+    real numbers, and lists of integers, which are stored back as tuples.
+    The first bad field raises ``ValueError`` naming it."""
+    for name in ints:
+        require_int(name, getattr(obj, name))
+    for name in floats:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or (
+            not math.isfinite(value)
+        ):
+            raise ValueError(f"{name}: must be a finite number, got {value!r}")
+    for name in int_tuples:
+        value = getattr(obj, name)
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{name}: must be a list of integers, got {value!r}")
+        object.__setattr__(obj, name, tuple(require_int(name, d) for d in value))
+
+
+def canonical_edges(edges, num_nodes: int) -> np.ndarray:
+    """Validate an edge list, add every reverse edge, deduplicate, and sort."""
     arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if arr.size:
         if arr.min() < 0 or arr.max() >= num_nodes:
             raise GraphFormatError(
                 f"edge endpoint out of range for {num_nodes} nodes"
             )
-        if symmetrize:
-            arr = np.concatenate([arr, arr[:, ::-1]], axis=0)
+        arr = np.concatenate([arr, arr[:, ::-1]], axis=0)
         arr = np.unique(arr, axis=0)
     return arr.reshape(-1, 2)
 
@@ -111,18 +141,12 @@ class GraphDataset:
 
 @dataclass
 class GraphBatch:
-    """Disjoint union of graphs: shifted node indices, per-node graph ids.
-
-    Labels and masks ride along so that un-batching reproduces the inputs
-    exactly.
-    """
+    """Disjoint union of graphs: shifted node indices, per-node graph ids."""
 
     node_features: np.ndarray
     edges: np.ndarray
     graph_id: np.ndarray
     sizes: np.ndarray
-    labels: list = field(default_factory=list)
-    rationale_masks: list = field(default_factory=list)
 
     @property
     def num_graphs(self) -> int:
@@ -150,38 +174,7 @@ def batch_graphs(graphs: list[Graph]) -> GraphBatch:
         else np.zeros((0, 2), dtype=np.int64)
     )
     graph_id = np.repeat(np.arange(len(graphs), dtype=np.int64), sizes)
-    return GraphBatch(
-        node_features=features,
-        edges=edges,
-        graph_id=graph_id,
-        sizes=sizes,
-        labels=[g.label for g in graphs],
-        rationale_masks=[g.rationale_mask for g in graphs],
-    )
-
-
-def unbatch_graphs(batch: GraphBatch) -> list[Graph]:
-    """Invert ``batch_graphs`` exactly (features, edges, ordering)."""
-    out = []
-    offsets = np.concatenate([[0], np.cumsum(batch.sizes)])
-    src = batch.edges[:, 0] if batch.edges.size else np.zeros(0, dtype=np.int64)
-    edge_owner = (
-        batch.graph_id[src] if batch.edges.size else np.zeros(0, dtype=np.int64)
-    )
-    for i in range(batch.num_graphs):
-        lo, hi = offsets[i], offsets[i + 1]
-        e = batch.edges[edge_owner == i] - lo
-        out.append(
-            Graph(
-                node_features=batch.node_features[lo:hi].copy(),
-                edges=e.copy(),
-                label=batch.labels[i] if batch.labels else None,
-                rationale_mask=(
-                    batch.rationale_masks[i] if batch.rationale_masks else None
-                ),
-            )
-        )
-    return out
+    return GraphBatch(node_features=features, edges=edges, graph_id=graph_id, sizes=sizes)
 
 
 def induced_subgraph(g: Graph, keep) -> Graph:
@@ -227,9 +220,10 @@ def dataset_to_json(ds: GraphDataset) -> dict:
 
 
 def dataset_from_json(obj: dict) -> GraphDataset:
-    if not isinstance(obj, dict) or "graphs" not in obj or "feature_dim" not in obj:
-        raise GraphFormatError("payload must contain 'graphs' and 'feature_dim'")
-    feature_dim = int(obj["feature_dim"])
+    if not isinstance(obj, dict) or not isinstance(obj.get("graphs"), list) or (
+        "feature_dim" not in obj
+    ):
+        raise GraphFormatError("payload must contain a 'graphs' list and 'feature_dim'")
     graphs = []
     for i, item in enumerate(obj["graphs"]):
         try:
@@ -254,8 +248,14 @@ def dataset_from_json(obj: dict) -> GraphDataset:
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphFormatError(f"graph {i}: {exc}") from exc
     labels = [g.label for g in graphs if g.label is not None]
-    num_classes = (max(labels) + 1) if labels else None
-    return GraphDataset(graphs=graphs, feature_dim=feature_dim, num_classes=num_classes)
+    try:
+        return GraphDataset(
+            graphs=graphs,
+            feature_dim=require_int("feature_dim", obj["feature_dim"]),
+            num_classes=(max(labels) + 1) if labels else None,
+        )
+    except ValueError as exc:
+        raise GraphFormatError(str(exc)) from exc
 
 
 def save_dataset_json(ds: GraphDataset, path) -> None:

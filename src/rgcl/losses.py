@@ -12,7 +12,7 @@ c_n. Two losses are combined:
   denominator is the positive term plus all N complement similarities,
   N+1 terms in total.
 
-Both use r1 as the query side only; there is no symmetrized second term.
+Both use r1 as the query side only; there is no second term with r2 as the query.
 The total is mean_n [ suff_n + lam * indep_n ]. ``rgcl_loss`` computes it for
 the whole batch from one similarity matrix; the per-anchor functions below
 are its reference.
@@ -150,8 +150,6 @@ class LossReport:
     l_su: float
     l_in: float
     total: float
-    tau: float
-    lam: float
 
     def metrics_line(self, step: int) -> dict:
         return {"step": step, "l_su": self.l_su, "l_in": self.l_in, "total": self.total}
@@ -206,7 +204,5 @@ def rgcl_loss(views: BatchViews, tau: float, lam: float) -> tuple[Tensor, LossRe
         l_su=float(su.values.mean()),
         l_in=0.0 if ind is None else float(ind.values.mean()),
         total=total.item(),
-        tau=float(tau),
-        lam=float(lam),
     )
     return total, report

@@ -74,14 +74,14 @@ def named_leaves(params, prefix: str = "") -> dict[str, Tensor]:
     return out
 
 
-def assign_arrays(params, arrays: dict[str, np.ndarray], prefix: str = "") -> None:
+def assign_arrays(params, arrays: dict[str, np.ndarray]) -> None:
     """Write flat arrays back into a parameter tree, validating shapes.
 
     Every leaf must be covered and no extra names may remain; a mismatch in
     either direction or in any shape raises ``ValueError``.
     """
     remaining = dict(arrays)
-    for name, parent, key, leaf in _entries(params, prefix, None, None):
+    for name, parent, key, leaf in _entries(params, "", None, None):
         if name not in remaining:
             raise ValueError(f"missing parameter {name}")
         new = np.asarray(remaining.pop(name), dtype=np.float64)

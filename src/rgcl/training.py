@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
-import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,7 +34,7 @@ from .encoder import (
     encode_graph,
     init_params,
 )
-from .graphs import Graph, GraphDataset, batch_graphs
+from .graphs import Graph, GraphDataset, batch_graphs, check_field_types
 from .losses import (
     BatchViews,
     LossReport,
@@ -57,6 +55,8 @@ from .rationale import (
 )
 
 CHECKPOINT_VERSION = 2
+ADAM_DECAYS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 VARIANTS = ("full", "no_rationale_views", "no_independence")
 _VARIANT_ALIASES = {"no_rv": "no_rationale_views", "no_i": "no_independence"}
 
@@ -104,25 +104,7 @@ class TrainConfig:
         def fail(field_name: str, constraint: str):
             raise ValueError(f"{field_name}: {constraint}")
 
-        # bool is an int subclass; a JSON true/false here is a typo, not a 1/0
-        def is_int(v) -> bool:
-            return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if not is_int(value):
-                fail(name, f"must be an integer, got {value!r}")
-        for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or (
-                not math.isfinite(value)
-            ):
-                fail(name, f"must be a finite number, got {value!r}")
-        for name in _DIMS_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, (list, tuple)) or not all(is_int(d) for d in value):
-                fail(name, f"must be a list of integers, got {value!r}")
-            object.__setattr__(self, name, tuple(int(d) for d in value))
+        check_field_types(self, ints=_INT_FIELDS, floats=_FLOAT_FIELDS, int_tuples=_DIMS_FIELDS)
 
         if self.batch_size < 2:
             fail("batch_size", "must be >= 2")
@@ -236,21 +218,19 @@ def adam_update(
     v: dict[str, np.ndarray],
     lr: float,
     step: int,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ):
     """One bias-corrected Adam step (``step`` is 1-based); returns new dicts."""
     if step < 1:
         raise ValueError("adam step index is 1-based")
+    b1, b2 = ADAM_DECAYS
     new_p, new_m, new_v = {}, {}, {}
     for k, p in params.items():
         g = grads[k]
-        new_m[k] = beta1 * m[k] + (1.0 - beta1) * g
-        new_v[k] = beta2 * v[k] + (1.0 - beta2) * g * g
-        m_hat = new_m[k] / (1.0 - beta1**step)
-        v_hat = new_v[k] / (1.0 - beta2**step)
-        new_p[k] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+        new_m[k] = b1 * m[k] + (1.0 - b1) * g
+        new_v[k] = b2 * v[k] + (1.0 - b2) * g * g
+        m_hat = new_m[k] / (1.0 - b1**step)
+        v_hat = new_v[k] / (1.0 - b2**step)
+        new_p[k] = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return new_p, new_m, new_v
 
 
@@ -576,6 +556,12 @@ def load_checkpoint(path, expected_config: TrainConfig | None = None):
         v = _unpack_arrays(opt["v"], "optimizer-v")
         if set(m) != set(params) or set(v) != set(params):
             raise ValueError("optimizer state does not cover the parameters")
+        for k, arr in params.items():
+            for name, moments in (("opt.m", m), ("opt.v", v)):
+                if moments[k].shape != arr.shape:
+                    raise ValueError(
+                        f"{name} entry {k!r} has shape {moments[k].shape}, not {arr.shape}"
+                    )
         state.opt_m, state.opt_v = m, v
         state.step = int(payload["step"])
         rng_info = _json_object(payload["rng"], "rng section")

@@ -134,6 +134,16 @@ class TestConfigErrors:
         assert field_name in capsys.readouterr().err
         assert not (tmp / "run" / "metrics.jsonl").exists()
 
+    @pytest.mark.parametrize("count", [6.7, True])
+    def test_mistyped_synthetic_count_is_config_error(self, workspace, capsys, count):
+        tmp, _, _ = workspace
+        config = dict(CONFIG_CORE, output_dir=str(tmp / "run"))
+        config["dataset"] = {"synthetic": {"spec": SPEC, "count": count}}
+        bad = write_json(tmp / "bad.json", config)
+        assert main(["pretrain", "--config", bad]) == 2
+        assert "count: must be an integer" in capsys.readouterr().err
+        assert not (tmp / "run").exists()
+
     def test_unknown_field_is_named(self, workspace, capsys):
         tmp, _, data_path = workspace
         config = dict(CONFIG_CORE)
@@ -206,6 +216,20 @@ class TestDataErrors:
         data_path.write_text(json.dumps(payload))
         assert main(["pretrain", "--config", config_path]) == 3
         assert "graph 2: node features must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["graphs-not-a-list", "feature-dim-string", "mixed-widths"])
+    def test_malformed_dataset_json_exits_3(self, workspace, capsys, case):
+        tmp, config_path, data_path = workspace
+        payload = json.loads(data_path.read_text())
+        if case == "graphs-not-a-list":
+            payload["graphs"] = 5
+        elif case == "feature-dim-string":
+            payload["feature_dim"] = "x"
+        else:
+            payload["graphs"][1]["x"] = [row + [0.0] for row in payload["graphs"][1]["x"]]
+        data_path.write_text(json.dumps(payload))
+        assert main(["pretrain", "--config", config_path]) == 3
+        assert "data error" in capsys.readouterr().err
 
     def test_missing_rationale_dataset_exits_3(self, workspace):
         tmp, config_path, _ = workspace
@@ -284,6 +308,16 @@ class TestSynth:
 
     def test_bad_count(self, tmp_path):
         assert main(["synth", "--count", "0", "--out", str(tmp_path / "d.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "field_name, value", [("motif_size", 4.0), ("seed", 1.5), ("num_classes", 2.0)]
+    )
+    def test_mistyped_spec_field_is_config_error(self, tmp_path, capsys, field_name, value):
+        spec = write_json(tmp_path / "spec.json", {field_name: value})
+        assert main(["synth", "--spec", spec, "--count", "2",
+                     "--out", str(tmp_path / "d.json")]) == 2
+        assert f"{field_name}: must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "d.json").exists()
 
     def test_bad_spec_field(self, tmp_path):
         spec = tmp_path / "spec.json"

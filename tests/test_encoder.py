@@ -176,8 +176,7 @@ class TestEncodeGraph:
             inv = np.argsort(perm)
             relabeled = Graph(
                 node_features=g.node_features[perm],
-                edges=canonical_edges([(inv[u], inv[v]) for u, v in g.edges],
-                                      g.num_nodes, symmetrize=False),
+                edges=canonical_edges([(inv[u], inv[v]) for u, v in g.edges], g.num_nodes),
             )
             p = init_params(self.CFG, 4, seed=seed)
             a = encode_graph(batch_graphs([g]), p, self.CFG).values

@@ -14,7 +14,6 @@ from rgcl.graphs import (
     induced_subgraph,
     load_dataset_json,
     save_dataset_json,
-    unbatch_graphs,
 )
 from oracles import induced_edges_bruteforce
 
@@ -73,16 +72,23 @@ class TestBatching:
         assert g2_edges == {(3, 4), (4, 3)}
 
     def test_round_trip_exact(self):
+        """Each graph's slice of the batch holds its features, its graph id
+        and its edges shifted by the graph's node offset, in order."""
         rng = np.random.default_rng(7)
         for trial in range(20):
             graphs = [random_graph(rng) for _ in range(int(rng.integers(1, 6)))]
-            back = unbatch_graphs(batch_graphs(graphs))
-            assert len(back) == len(graphs)
-            for a, b in zip(graphs, back):
-                np.testing.assert_array_equal(a.node_features, b.node_features)
-                np.testing.assert_array_equal(a.edges, b.edges)
-                assert a.label == b.label
-                np.testing.assert_array_equal(a.rationale_mask, b.rationale_mask)
+            batch = batch_graphs(graphs)
+            node_lo = edge_lo = 0
+            for i, g in enumerate(graphs):
+                nodes = slice(node_lo, node_lo + g.num_nodes)
+                np.testing.assert_array_equal(batch.node_features[nodes], g.node_features)
+                np.testing.assert_array_equal(batch.graph_id[nodes], i)
+                edges = batch.edges[edge_lo : edge_lo + g.num_edges]
+                np.testing.assert_array_equal(edges - node_lo, g.edges)
+                node_lo += g.num_nodes
+                edge_lo += g.num_edges
+            assert (node_lo, edge_lo) == (batch.num_nodes, len(batch.edges))
+            np.testing.assert_array_equal(batch.sizes, [g.num_nodes for g in graphs])
 
     def test_mixed_feature_dims_rejected(self):
         g1 = Graph(node_features=np.ones((2, 2)), edges=np.zeros((0, 2)))

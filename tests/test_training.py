@@ -491,6 +491,18 @@ class TestCheckpoints:
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("moment", ["m", "v"])
+    def test_moment_shape_mismatch_names_the_entry(self, small_dataset, tmp_path, moment):
+        cfg = tiny_config()
+        state = init_train_state(cfg, small_dataset.feature_dim)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(state, path, cfg)
+        payload = json.loads(path.read_text())
+        payload["opt"][moment]["encoder.layers.0.b1"] = {"shape": [1], "values": [0.0]}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointFormatError, match=f"opt.{moment} entry 'encoder.layers.0.b1'"):
+            load_checkpoint(path)
+
     def test_failed_save_leaves_the_previous_checkpoint_intact(
         self, small_dataset, tmp_path, monkeypatch
     ):

@@ -30,7 +30,8 @@ from .evaluation import (
     view_similarities,
 )
 from .graphs import (
-    GraphDataset, GraphFormatError, dataset_hash, load_dataset_json, require_int, save_dataset_json,
+    GraphDataset, GraphFormatError, dataset_hash, load_dataset_json, read_json_object,
+    require_int, save_dataset_json, write_text_atomic,
 )
 from .rationale import export_rationales
 from .training import (
@@ -39,7 +40,6 @@ from .training import (
     load_checkpoint,
     normalize_variant,
     pretrain,
-    write_text_atomic,
 )
 
 EXIT_OK = 0
@@ -52,19 +52,6 @@ DATASET_SOURCES = ("tu", "json", "synthetic")
 
 class ConfigError(ValueError):
     """The run configuration is malformed; reported before any compute."""
-
-
-def _load_json(path, what: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"{what} file not found: {p}")
-    try:
-        payload = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} file {p} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{what} file {p} must hold a JSON object")
-    return payload
 
 
 def _spec_from_dict(d: dict) -> PlantedMotifSpec:
@@ -89,7 +76,7 @@ def load_run_config(path) -> RunConfig:
     directory. The RGCL_SEED environment variable, when set, overrides the
     configured seed.
     """
-    payload = _load_json(path, "config")
+    payload = read_json_object(path, ConfigError, "config")
     if "dataset" not in payload:
         raise ConfigError('config needs a "dataset" entry')
     source = payload.pop("dataset")
@@ -147,13 +134,12 @@ def load_dataset_from_source(source: dict) -> GraphDataset:
 
 
 def cmd_synth(args) -> int:
-    spec_dict = _load_json(args.spec, "spec") if args.spec else {}
+    spec_dict = read_json_object(args.spec, ConfigError, "spec") if args.spec else {}
     spec = _spec_from_dict(spec_dict)
     if args.count < 1:
         raise ConfigError("--count must be >= 1")
     ds = generate_planted_motif_dataset(spec, args.count)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset_json(ds, out)
     print(f"wrote {len(ds)} graphs to {out}")
     print(f"dataset hash: {dataset_hash(ds)}")
@@ -176,21 +162,16 @@ def _summary_table(rows: list[tuple[str, str]]) -> str:
     return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
 
 
-def _require_labels(dataset: GraphDataset) -> None:
-    if any(g.label is None for g in dataset.graphs):
-        raise GraphFormatError("dataset has unlabeled graphs; the probe needs labels")
-
-
 def cmd_eval(args) -> int:
     run = load_run_config(args.config)
     variant = normalize_variant(args.variant)
     state, config = load_checkpoint(args.checkpoint, expected_config=run.train)
     dataset = load_dataset_from_source(run.dataset_source)
-    _require_labels(dataset)
+    labels = dataset.labels()
     emb = embed_graphs(dataset, state.encoder, config.encoder_config())
     if not np.isfinite(emb).all():
         raise NumericError("checkpoint produces non-finite embeddings")
-    probe = linear_probe(emb, dataset.labels(), split_seed=config.seed)
+    probe = linear_probe(emb, labels, split_seed=config.seed)
     result = {
         "variant": variant,
         "seed": config.seed,
@@ -208,11 +189,12 @@ def cmd_eval(args) -> int:
         rows.append(("rationale precision", f"{score.mean_precision:.4f}"))
         rows.append(("random baseline", f"{score.random_baseline:.4f}"))
     if variant != "no_independence":
-        pos, comp = view_similarities(dataset, state, config, sample_seed=config.seed)
+        pos, comp = view_similarities(
+            dataset, state, config, sample_seed=config.seed, variant=variant
+        )
         result["view_cosines"] = {"positive": pos, "complement": comp}
         rows.append(("view cosine r1*r2", f"{pos:.4f}"))
         rows.append(("view cosine r1*c", f"{comp:.4f}"))
-    run.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = run.output_dir / "results.json"
     write_text_atomic(out_path, json.dumps(result, indent=2, sort_keys=True) + "\n")
     print(_summary_table(rows))
@@ -228,7 +210,6 @@ def cmd_rationale(args) -> int:
         dataset, state.generator, config.generator_config(), rho=config.rho
     )
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_text_atomic(out, json.dumps(records, indent=2) + "\n")
     print(f"exported per-node probabilities for {len(records)} graphs to {out}")
     return EXIT_OK
@@ -236,29 +217,28 @@ def cmd_rationale(args) -> int:
 
 def cmd_sweep(args) -> int:
     run = load_run_config(args.config)
-    grid = _load_json(args.grid, "grid")
-    allowed = {"tau", "lambda", "rho", "seeds"}
-    unknown = set(grid) - allowed
+    grid = read_json_object(args.grid, ConfigError, "grid")
+    defaults = {"tau": run.train.tau, "lambda": run.train.lam, "rho": run.train.rho,
+                "seeds": run.train.seed}
+    unknown = set(grid) - set(defaults)
     if unknown:
-        raise ConfigError(f"unknown grid keys: {sorted(unknown)} (allowed: {sorted(allowed)})")
-    taus = list(grid.get("tau", [run.train.tau]))
-    lams = list(grid.get("lambda", [run.train.lam]))
-    rhos = list(grid.get("rho", [run.train.rho]))
-    seeds = [int(s) for s in grid.get("seeds", [run.train.seed])]
-    for name, values in (("tau", taus), ("lambda", lams), ("rho", rhos)):
-        if not values:
-            raise ConfigError(f"grid entry {name!r} is empty")
-
-    dataset = load_dataset_from_source(run.dataset_source)
-    _require_labels(dataset)
-    rows = []
-    for tau, lam, rho, seed in itertools.product(taus, lams, rhos, seeds):
+        raise ConfigError(f"unknown grid keys: {sorted(unknown)} (allowed: {sorted(defaults)})")
+    axes = [grid.get(key, [default]) for key, default in defaults.items()]
+    for key, values in zip(defaults, axes):
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"grid entry {key!r} must be a non-empty JSON list, got {values!r}")
+    cells = []
+    for tau, lam, rho, seed in itertools.product(*axes):
         try:
-            cell_cfg = dataclasses.replace(
-                run.train, tau=float(tau), lam=float(lam), rho=float(rho), seed=seed
-            )
+            cell_cfg = dataclasses.replace(run.train, tau=tau, lam=lam, rho=rho, seed=seed)
         except ValueError as exc:
             raise ConfigError(f"grid cell tau={tau} lambda={lam} rho={rho}: {exc}") from exc
+        cells.append((tau, lam, rho, seed, cell_cfg))
+
+    dataset = load_dataset_from_source(run.dataset_source)
+    dataset.labels()  # unlabeled data fails here, before the first cell trains
+    rows = []
+    for tau, lam, rho, seed, cell_cfg in cells:
         cell_dir = run.output_dir / f"tau{tau}_lam{lam}_rho{rho}_seed{seed}"
         result = run_ablation("full", dataset, cell_cfg, output_dir=cell_dir)
         write_text_atomic(
@@ -272,7 +252,6 @@ def cmd_sweep(args) -> int:
             f"probe {result.probe.test_accuracy:.4f}"
         )
 
-    run.output_dir.mkdir(parents=True, exist_ok=True)
     csv_path = run.output_dir / "sweep.csv"
     table = io.StringIO()
     writer = csv.writer(table)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graphs import GraphBatch
+from .graphs import GraphBatch, check_field_types
 from .params import lift_params
 
 GNN_TYPES = ("gin", "gcn")
@@ -34,15 +34,13 @@ class EncoderConfig:
             raise ValueError(f"gnn_type must be one of {GNN_TYPES}, got {self.gnn_type!r}")
         if self.pooling not in POOLINGS:
             raise ValueError(f"pooling must be one of {POOLINGS}, got {self.pooling!r}")
-        dims = tuple(int(d) for d in self.layer_dims)
-        if not dims or any(d < 1 for d in dims):
+        check_field_types(self, int_tuples=("layer_dims",))
+        if not self.layer_dims or any(d < 1 for d in self.layer_dims):
             raise ValueError(f"layer_dims must be positive, got {self.layer_dims}")
-        object.__setattr__(self, "layer_dims", dims)
         if self.head_dims is not None:
-            hd = tuple(int(d) for d in self.head_dims)
-            if len(hd) != 2 or any(d < 1 for d in hd):
+            check_field_types(self, int_tuples=("head_dims",))
+            if len(self.head_dims) != 2 or any(d < 1 for d in self.head_dims):
                 raise ValueError(f"head_dims must be (hidden, out), got {self.head_dims}")
-            object.__setattr__(self, "head_dims", hd)
 
     @property
     def output_dim(self) -> int:

@@ -1,5 +1,5 @@
-"""Graph containers, induced subgraphs, disjoint-union batching, and a JSON
-interchange format with a content hash.
+"""Graph containers, induced subgraphs, disjoint-union batching, JSON interchange
+with a content hash, and the JSON-object reader and atomic writer all modules share.
 
 Undirected graphs are stored with every edge duplicated in both directions,
 which keeps message passing a plain gather/scatter. Constructors that read
@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,6 +51,41 @@ def check_field_types(obj, ints=(), floats=(), int_tuples=()) -> None:
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"{name}: must be a list of integers, got {value!r}")
         object.__setattr__(obj, name, tuple(require_int(name, d) for d in value))
+
+
+def require_object(value, error: type[Exception], what: str) -> dict:
+    """Return ``value`` if it is a JSON object, else raise ``error``."""
+    if not isinstance(value, dict):
+        raise error(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def read_json_object(path, error: type[Exception], what: str) -> dict:
+    """Parse the file at ``path`` as one JSON object. A file that is missing, a directory,
+    unreadable, not UTF-8, not JSON or not an object raises ``error`` naming ``what`` and it."""
+    p = Path(path)
+    try:
+        payload = json.loads(p.read_text(encoding="utf-8"))
+    except FileNotFoundError as exc:
+        raise error(f"{what} file not found: {p}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} file {p} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"{what} file {p} cannot be read: {exc}") from exc
+    return require_object(payload, error, f"{what} file {p}")
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Create ``path``'s directory, write ``text`` to a sibling temp file and ``os.replace``
+    it onto ``path``: a crash or a failed write leaves the old file whole."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def canonical_edges(edges, num_nodes: int) -> np.ndarray:
@@ -135,7 +171,7 @@ class GraphDataset:
 
     def labels(self) -> np.ndarray:
         if any(g.label is None for g in self.graphs):
-            raise ValueError("dataset has unlabeled graphs")
+            raise GraphFormatError("dataset has unlabeled graphs; the probe needs labels")
         return np.array([g.label for g in self.graphs], dtype=np.int64)
 
 
@@ -237,7 +273,7 @@ def dataset_from_json(obj: dict) -> GraphDataset:
                 Graph(
                     node_features=x,
                     edges=edges,
-                    label=int(item["y"]) if "y" in item else None,
+                    label=require_int("y", item["y"]) if "y" in item else None,
                     rationale_mask=(
                         np.asarray(item["rationale"], dtype=bool)
                         if "rationale" in item
@@ -259,20 +295,13 @@ def dataset_from_json(obj: dict) -> GraphDataset:
 
 
 def save_dataset_json(ds: GraphDataset, path) -> None:
-    Path(path).write_text(
-        json.dumps(dataset_to_json(ds), sort_keys=True, separators=(",", ":"))
+    write_text_atomic(
+        path, json.dumps(dataset_to_json(ds), sort_keys=True, separators=(",", ":"))
     )
 
 
 def load_dataset_json(path) -> GraphDataset:
-    p = Path(path)
-    if not p.exists():
-        raise GraphFormatError(f"dataset file not found: {p}")
-    try:
-        obj = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"{p}: invalid JSON ({exc})") from exc
-    return dataset_from_json(obj)
+    return dataset_from_json(read_json_object(path, GraphFormatError, "dataset"))
 
 
 def dataset_hash(ds: GraphDataset) -> str:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,6 +34,7 @@ from .encoder import (
     init_params,
 )
 from .graphs import Graph, GraphDataset, batch_graphs, check_field_types
+from .graphs import read_json_object, require_object, write_text_atomic
 from .losses import (
     BatchViews,
     LossReport,
@@ -263,6 +263,7 @@ def sample_selections(
     Each anchor gets its own child generator split from the supplied
     stream, so the draws are reproducible anchor by anchor.
     """
+    variant = normalize_variant(variant)
     gen_cfg = config.generator_config()
     out = []
     for g in graphs:
@@ -291,6 +292,7 @@ def encode_views(
     Parameters may be raw arrays (value-only evaluation) or tape-lifted
     tensors (training).
     """
+    variant = normalize_variant(variant)
     gen_cfg = config.generator_config()
     enc_cfg = config.encoder_config()
     r1_views, r2_views, c_views = [], [], []
@@ -342,7 +344,6 @@ def train_step(
     variant: str = "full",
 ) -> tuple[TrainState, LossReport]:
     """One optimization step over a batch of anchor graphs (N >= 2)."""
-    variant = normalize_variant(variant)
     if len(graphs) < 2:
         raise ValueError(f"train_step needs at least 2 graphs, got {len(graphs)}")
     selections = sample_selections(graphs, state.generator, config, state.rng, variant)
@@ -458,18 +459,6 @@ def _cut_metrics(path: Path, last_step: int) -> None:
     write_text_atomic(path, "".join(kept))
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write ``text`` to a sibling temp file, then ``os.replace`` it onto
-    ``path``: a crash or a failed write leaves the old file whole."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -481,15 +470,9 @@ def _pack_arrays(arrays: dict[str, np.ndarray]) -> dict:
     }
 
 
-def _json_object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise CheckpointFormatError(f"{what} must be a JSON object, got {type(value).__name__}")
-    return value
-
-
 def _unpack_arrays(payload, what: str) -> dict[str, np.ndarray]:
     out = {}
-    for k, item in _json_object(payload, f"{what} section").items():
+    for k, item in require_object(payload, CheckpointFormatError, f"{what} section").items():
         try:
             arr = np.asarray(item["values"], dtype=np.float64).reshape(item["shape"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -527,13 +510,7 @@ def load_checkpoint(path, expected_config: TrainConfig | None = None):
     behind.
     """
     p = Path(path)
-    if not p.exists():
-        raise CheckpointFormatError(f"checkpoint not found: {p}")
-    try:
-        payload = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise CheckpointFormatError(f"{p}: invalid JSON ({exc})") from exc
-    payload = _json_object(payload, f"{p}: checkpoint")
+    payload = read_json_object(p, CheckpointFormatError, "checkpoint")
     version = payload.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise CheckpointFormatError(
@@ -551,7 +528,7 @@ def load_checkpoint(path, expected_config: TrainConfig | None = None):
         state = init_train_state(config, int(payload["input_dim"]))
         params = _unpack_arrays(payload["params"], "parameter")
         assign_arrays(state.params, params)
-        opt = _json_object(payload["opt"], "opt section")
+        opt = require_object(payload["opt"], CheckpointFormatError, "opt section")
         m = _unpack_arrays(opt["m"], "optimizer-m")
         v = _unpack_arrays(opt["v"], "optimizer-v")
         if set(m) != set(params) or set(v) != set(params):
@@ -564,7 +541,7 @@ def load_checkpoint(path, expected_config: TrainConfig | None = None):
                     )
         state.opt_m, state.opt_v = m, v
         state.step = int(payload["step"])
-        rng_info = _json_object(payload["rng"], "rng section")
+        rng_info = require_object(payload["rng"], CheckpointFormatError, "rng section")
         state.rng.bit_generator.state = rng_info["master"]
         state.epoch = int(rng_info["epoch"])
         state.epoch_cursor = int(rng_info["epoch_cursor"])

@@ -6,7 +6,10 @@ import json
 import numpy as np
 import pytest
 
+import rgcl.graphs as rgcl_graphs
 from rgcl.cli import main
+from rgcl.evaluation import view_similarities
+from rgcl.graphs import load_dataset_json
 from rgcl.training import load_checkpoint
 
 
@@ -55,6 +58,31 @@ def workspace(tmp_path):
 
 def file_digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def failing_replace(src, dst):
+    raise OSError("disk full")
+
+
+def make_bad_file(path, case):
+    """Turn ``path`` into one of the ways an input file can be bad."""
+    if case == "directory":
+        path.mkdir()
+    elif case == "non-utf8":
+        path.write_bytes(b'{"name": "\xff"}')
+    elif case == "invalid-json":
+        path.write_text('{"batch_size": 4,')
+    elif case == "json-list":
+        path.write_text("[]")
+    else:
+        assert case == "missing"
+
+
+def strip_labels(data_path):
+    payload = json.loads(data_path.read_text())
+    for item in payload["graphs"]:
+        del item["y"]
+    data_path.write_text(json.dumps(payload))
 
 
 class TestPipeline:
@@ -183,6 +211,38 @@ class TestConfigErrors:
         assert main(["sweep", "--config", config_path, "--grid", grid]) == 2
 
 
+class TestInputFiles:
+    """Every JSON input goes through one reader: each way a file can be bad
+    exits with its kind's code, names the file, and raises no traceback."""
+
+    @pytest.mark.parametrize(
+        "case", ["missing", "directory", "non-utf8", "invalid-json", "json-list"]
+    )
+    @pytest.mark.parametrize(
+        "kind, code",
+        [("config", 2), ("spec", 2), ("grid", 2), ("dataset", 3), ("checkpoint", 3)],
+    )
+    def test_bad_file_exits_with_its_kinds_code(self, workspace, capsys, kind, code, case):
+        tmp, config_path, _ = workspace
+        bad = tmp / "bad.json"
+        make_bad_file(bad, case)
+        if kind == "config":
+            argv = ["pretrain", "--config", str(bad)]
+        elif kind == "spec":
+            argv = ["synth", "--spec", str(bad), "--count", "2", "--out", str(tmp / "d.json")]
+        elif kind == "grid":
+            argv = ["sweep", "--config", config_path, "--grid", str(bad)]
+        elif kind == "dataset":
+            config = dict(CONFIG_CORE, dataset={"json": str(bad)}, output_dir=str(tmp / "run"))
+            argv = ["pretrain", "--config", write_json(tmp / "cfg.json", config)]
+        else:
+            argv = ["eval", "--config", config_path, "--checkpoint", str(bad)]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err
+        assert not (tmp / "run").exists() and not (tmp / "d.json").exists()
+
+
 class TestDataErrors:
     def test_missing_dataset_file(self, workspace):
         tmp, _, _ = workspace
@@ -253,6 +313,23 @@ class TestDataErrors:
                     "--out", str(tmp / "export.json")]
         assert main(argv) == 3
 
+    def test_unlabeled_dataset_exits_3_from_eval(self, workspace, capsys):
+        tmp, config_path, data_path = workspace
+        strip_labels(data_path)
+        assert main(["pretrain", "--config", config_path]) == 0  # needs no labels
+        assert main(["eval", "--config", config_path,
+                     "--checkpoint", str(tmp / "run" / "ckpt_final.json")]) == 3
+        assert "unlabeled" in capsys.readouterr().err
+        assert not (tmp / "run" / "results.json").exists()
+
+    def test_unlabeled_dataset_exits_3_from_sweep_before_any_cell(self, workspace, capsys):
+        tmp, config_path, data_path = workspace
+        strip_labels(data_path)
+        grid = write_json(tmp / "grid.json", {"tau": [0.1, 0.2]})
+        assert main(["sweep", "--config", config_path, "--grid", grid]) == 3
+        assert "unlabeled" in capsys.readouterr().err
+        assert not (tmp / "run").exists()
+
     def test_truncated_checkpoint(self, workspace):
         tmp, config_path, _ = workspace
         assert main(["pretrain", "--config", config_path]) == 0
@@ -297,6 +374,43 @@ class TestSweep:
         grid = write_json(tmp / "grid.json", {"rho": [0.0]})
         assert main(["sweep", "--config", config_path, "--grid", grid]) == 2
 
+    @pytest.mark.parametrize(
+        "grid, named",
+        [
+            ({"tau": 0.1}, "'tau'"),
+            ({"seeds": 5}, "'seeds'"),
+            ({"lambda": []}, "'lambda'"),
+            ({"seeds": [1.5]}, "seed: must be an integer"),
+            ({"tau": ["0.3"]}, "tau: must be a finite number"),
+            ({"tau": [True]}, "tau: must be a finite number"),
+            ({"rho": [0.8, 0.0]}, "rho: must be in"),
+        ],
+        ids=["tau-scalar", "seeds-scalar", "lambda-empty", "seed-float", "tau-string",
+             "tau-bool", "bad-later-cell"],
+    )
+    def test_mistyped_grid_fails_before_any_training(self, workspace, capsys, grid, named):
+        tmp, config_path, _ = workspace
+        path = write_json(tmp / "grid.json", grid)
+        assert main(["sweep", "--config", config_path, "--grid", path]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp / "run").exists()
+
+
+class TestEval:
+    def test_no_rv_reports_that_variants_view_cosines(self, workspace):
+        tmp, config_path, data_path = workspace
+        assert main(["pretrain", "--config", config_path, "--variant", "no_rv"]) == 0
+        ckpt = tmp / "run" / "ckpt_final.json"
+        assert main(["eval", "--config", config_path, "--checkpoint", str(ckpt),
+                     "--variant", "no_rv"]) == 0
+        cosines = json.loads((tmp / "run" / "results.json").read_text())["view_cosines"]
+        state, config = load_checkpoint(ckpt)
+        expected = view_similarities(
+            load_dataset_json(data_path), state, config, sample_seed=config.seed,
+            variant="no_rv",
+        )
+        assert (cosines["positive"], cosines["complement"]) == expected
+
 
 class TestSynth:
     def test_default_spec_and_hash_printed(self, tmp_path, capsys):
@@ -305,6 +419,17 @@ class TestSynth:
         text = capsys.readouterr().out
         assert "dataset hash:" in text
         assert out.exists()
+
+    def test_failed_replace_leaves_the_previous_output_intact(self, tmp_path, monkeypatch):
+        out = tmp_path / "sub" / "d.json"  # the writer creates the directory
+        assert main(["synth", "--count", "2", "--out", str(out)]) == 0
+        first = out.read_bytes()
+        monkeypatch.setattr(rgcl_graphs.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            main(["synth", "--count", "3", "--out", str(out)])
+        monkeypatch.undo()
+        assert out.read_bytes() == first
+        assert [p.name for p in out.parent.iterdir()] == ["d.json"]
 
     def test_bad_count(self, tmp_path):
         assert main(["synth", "--count", "0", "--out", str(tmp_path / "d.json")]) == 2

@@ -66,6 +66,20 @@ class TestInit:
         with pytest.raises(ValueError, match="layer_dims"):
             EncoderConfig(layer_dims=())
 
+    @pytest.mark.parametrize(
+        "field_name, dims",
+        [("layer_dims", (2.5,)), ("layer_dims", (4, True)), ("head_dims", (3.9, 1)),
+         ("head_dims", "31")],
+        ids=["layer-float", "layer-bool", "head-float", "head-string"],
+    )
+    def test_config_rejects_non_integer_widths(self, field_name, dims):
+        with pytest.raises(ValueError, match=f"{field_name}: must be"):
+            EncoderConfig(**{field_name: dims})
+
+    def test_config_stores_width_lists_as_tuples(self):
+        cfg = EncoderConfig(layer_dims=[4, 3], head_dims=[2, 1])
+        assert cfg.layer_dims == (4, 3) and cfg.head_dims == (2, 1)
+
 
 class TestGinLayer:
     def test_identity_mlp_is_h_plus_neighbor_sum(self):

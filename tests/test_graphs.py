@@ -189,6 +189,19 @@ class TestJsonInterchange:
         with pytest.raises(GraphFormatError, match="graph 0"):
             dataset_from_json(obj)
 
+    @pytest.mark.parametrize("label", [1.7, True])
+    def test_non_integer_label_raises_format_error(self, label):
+        obj = {"graphs": [{"x": [[1.0]], "y": 0}, {"x": [[1.0]], "y": label}], "feature_dim": 1}
+        with pytest.raises(GraphFormatError, match="graph 1: y: must be an integer"):
+            dataset_from_json(obj)
+
+    def test_save_creates_the_parent_directory(self, tmp_path):
+        ds = self.build_dataset(seed=1)
+        path = tmp_path / "a" / "b" / "data.json"
+        save_dataset_json(ds, path)
+        assert dataset_hash(load_dataset_json(path)) == dataset_hash(ds)
+        assert [p.name for p in path.parent.iterdir()] == ["data.json"]
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_features_raise_format_error(self, bad):
         obj = {"graphs": [{"x": [[1.0]]}, {"x": [[1.0], [bad]]}], "feature_dim": 1}
@@ -205,5 +218,5 @@ class TestGraphDataset:
     def test_labels_require_all_graphs_labeled(self):
         g = Graph(node_features=np.ones((2, 2)), edges=np.zeros((0, 2)))
         ds = GraphDataset(graphs=[g], feature_dim=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(GraphFormatError, match="unlabeled"):
             ds.labels()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import rgcl.autodiff as ad
-import rgcl.training as training
+import rgcl.graphs as rgcl_graphs
 from oracles import finite_difference, jitter_params, max_rel_err
 from rgcl.datasets import PlantedMotifSpec, generate_planted_motif_dataset
 from rgcl.training import (
@@ -251,6 +251,33 @@ class TestTrainStep:
         assert state.encoder_passes.graphs == 3 * 4
         assert report.l_in != 0.0
         assert report.total == pytest.approx(report.l_su, abs=1e-12)
+
+    def test_view_functions_normalize_the_variant(self, small_dataset):
+        cfg = tiny_config()
+        state = init_train_state(cfg, small_dataset.feature_dim)
+        graphs = [small_dataset[i] for i in range(4)]
+
+        def draw(variant):
+            rng = np.random.default_rng(0)
+            return sample_selections(graphs, state.generator, cfg, rng, variant)
+
+        def loss(variant, selections):
+            return batch_views_loss(
+                graphs, selections, state.encoder, state.generator, state.projector,
+                cfg, variant,
+            )[0].item()
+
+        assert all(sel.c is None for sel in draw("no_i"))
+        alias, name = draw("no_rv"), draw("no_rationale_views")
+        for a, b in zip(alias, name):
+            for x, y in ((a.r1, b.r1), (a.r2, b.r2), (a.c, b.c)):
+                assert np.array_equal(x, y)
+        assert loss("no_rv", alias) == loss("no_rationale_views", alias)
+        assert loss("no_rv", alias) != loss("full", alias)
+        with pytest.raises(ValueError, match="variant"):
+            draw("bogus")
+        with pytest.raises(ValueError, match="variant"):
+            loss("bogus", alias)
 
     def test_rejects_single_graph_batch(self, small_dataset):
         cfg = tiny_config()
@@ -516,7 +543,7 @@ class TestCheckpoints:
         def failing_replace(src, dst):
             raise OSError("disk full")
 
-        monkeypatch.setattr(training.os, "replace", failing_replace)
+        monkeypatch.setattr(rgcl_graphs.os, "replace", failing_replace)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(state, path, cfg)
         monkeypatch.undo()

@@ -15,7 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import Graph, GraphDataset, GraphFormatError, canonical_edges, check_field_types
+from .graphs import (
+    Graph, GraphDataset, GraphFormatError, canonical_edges, check_field_types, read_text,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -28,19 +30,22 @@ from .graphs import Graph, GraphDataset, GraphFormatError, canonical_edges, chec
 #   <name>_node_labels.txt     optional, one integer label per node
 
 
-def _read_int_lines(path: Path, what: str) -> list[int]:
-    out = []
-    for ln, raw in enumerate(path.read_text().splitlines(), start=1):
-        raw = raw.strip()
-        if not raw:
+def _read_int_rows(path: Path, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Parse each non-blank line of a TU text file as ``width`` integers separated by
+    commas or whitespace. Returns the rows [k, width] and their 1-based line numbers."""
+    rows, line_numbers = [], []
+    for ln, raw in enumerate(read_text(path, GraphFormatError, "TU").splitlines(), start=1):
+        parts = raw.replace(",", " ").split()
+        if not parts:
             continue
         try:
-            out.append(int(raw))
-        except ValueError as exc:
-            raise GraphFormatError(f"{path.name} line {ln}: expected an integer, got {raw!r}") from exc
-    if not out:
-        raise GraphFormatError(f"{path.name}: {what} file is empty")
-    return out
+            rows.append(np.array([int(p) for p in parts], dtype=np.int64).reshape(width))
+        except (OverflowError, ValueError) as exc:
+            raise GraphFormatError(
+                f"{path.name} line {ln}: expected {width} integer(s), got {raw.strip()!r}"
+            ) from exc
+        line_numbers.append(ln)
+    return np.array(rows, dtype=np.int64).reshape(-1, width), np.array(line_numbers)
 
 
 def load_tu_dataset(directory) -> GraphDataset:
@@ -56,13 +61,13 @@ def load_tu_dataset(directory) -> GraphDataset:
     candidates = sorted(d.glob("*_A.txt"))
     if not candidates:
         raise GraphFormatError(f"missing <name>_A.txt edge file in {d}")
-    prefix = candidates[0].name[: -len("_A.txt")]
+    edge_path = candidates[0]
+    prefix = edge_path.name[: -len("_A.txt")]
 
     indicator_path = d / f"{prefix}_graph_indicator.txt"
-    if not indicator_path.exists():
-        raise GraphFormatError(f"missing {indicator_path.name} in {d}")
-    indicator = np.array(_read_int_lines(indicator_path, "graph indicator"), dtype=np.int64)
-
+    indicator = _read_int_rows(indicator_path, 1)[0][:, 0]
+    if not indicator.size:
+        raise GraphFormatError(f"{indicator_path.name}: graph indicator file is empty")
     present = np.unique(indicator)
     num_graphs = int(present.max())
     if present.min() < 1 or present.size != num_graphs:
@@ -71,81 +76,58 @@ def load_tu_dataset(directory) -> GraphDataset:
             f"{indicator_path.name}: graph ids must be contiguous from 1; missing {missing[:5]}"
         )
 
-    # node features
-    node_labels_path = d / f"{prefix}_node_labels.txt"
+    def labels_of(name: str, count: int, what: str):
+        """Distinct sorted values and each entry's index among them, or None if absent."""
+        path = d / f"{prefix}_{name}.txt"
+        if not path.exists():
+            return None
+        raw = _read_int_rows(path, 1)[0][:, 0]
+        if raw.shape[0] != count:
+            raise GraphFormatError(f"{path.name}: {raw.shape[0]} entries for {count} {what}")
+        return np.unique(raw, return_inverse=True)
+
     num_nodes = indicator.shape[0]
-    if node_labels_path.exists():
-        raw = np.array(_read_int_lines(node_labels_path, "node labels"), dtype=np.int64)
-        if raw.shape[0] != num_nodes:
-            raise GraphFormatError(
-                f"{node_labels_path.name}: {raw.shape[0]} entries for {num_nodes} nodes"
-            )
-        values = np.unique(raw)
-        lookup = {int(v): i for i, v in enumerate(values)}
-        features = np.zeros((num_nodes, values.size))
-        for i, v in enumerate(raw):
-            features[i, lookup[int(v)]] = 1.0
-    else:
+    node_labels = labels_of("node_labels", num_nodes, "nodes")
+    if node_labels is None:
         features = np.ones((num_nodes, 1))
+    else:
+        features = np.eye(node_labels[0].size)[node_labels[1]]
+    graph_labels = labels_of("graph_labels", num_graphs, "graphs")
 
-    # graph labels
-    labels_path = d / f"{prefix}_graph_labels.txt"
-    labels = None
-    num_classes = None
-    if labels_path.exists():
-        raw = np.array(_read_int_lines(labels_path, "graph labels"), dtype=np.int64)
-        if raw.shape[0] != num_graphs:
-            raise GraphFormatError(
-                f"{labels_path.name}: {raw.shape[0]} entries for {num_graphs} graphs"
-            )
-        values = np.unique(raw)
-        lookup = {int(v): i for i, v in enumerate(values)}
-        labels = np.array([lookup[int(v)] for v in raw], dtype=np.int64)
-        num_classes = values.size
-
-    # edges, grouped by owning graph
-    first_node = np.zeros(num_graphs + 1, dtype=np.int64)  # 0-based first node id per graph
-    sizes = np.bincount(indicator - 1, minlength=num_graphs)
-    first_node[1:] = np.cumsum(sizes)
     # nodes must be grouped contiguously by graph id for the offset math
     if not np.all(np.diff(indicator) >= 0):
         raise GraphFormatError(f"{indicator_path.name}: graph ids must be non-decreasing")
+    first_node = np.concatenate([[0], np.cumsum(np.bincount(indicator - 1))])
 
-    per_graph_edges: list[list[tuple[int, int]]] = [[] for _ in range(num_graphs)]
-    edge_path = d / f"{prefix}_A.txt"
-    for ln, raw in enumerate(edge_path.read_text().splitlines(), start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        parts = raw.replace(",", " ").split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"{edge_path.name} line {ln}: expected 'i, j', got {raw!r}")
-        try:
-            u, v = int(parts[0]) - 1, int(parts[1]) - 1
-        except ValueError as exc:
-            raise GraphFormatError(f"{edge_path.name} line {ln}: non-integer endpoint") from exc
-        if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-            raise GraphFormatError(f"{edge_path.name} line {ln}: node id out of range")
-        gu, gv = int(indicator[u]) - 1, int(indicator[v]) - 1
-        if gu != gv:
-            raise GraphFormatError(
-                f"{edge_path.name} line {ln}: edge joins graph {gu + 1} and graph {gv + 1}"
-            )
-        off = first_node[gu]
-        per_graph_edges[gu].append((u - off, v - off))
-
-    graphs = []
-    for gi in range(num_graphs):
-        lo, hi = first_node[gi], first_node[gi + 1]
-        graphs.append(
-            Graph(
-                node_features=features[lo:hi],
-                edges=canonical_edges(per_graph_edges[gi], hi - lo),
-                label=None if labels is None else int(labels[gi]),
-            )
+    pairs, line_numbers = _read_int_rows(edge_path, 2)
+    pairs -= 1
+    outside = ((pairs < 0) | (pairs >= num_nodes)).any(axis=1)
+    if outside.any():
+        ln = line_numbers[outside.argmax()]
+        raise GraphFormatError(f"{edge_path.name} line {ln}: node id out of range")
+    owner = indicator[pairs]
+    across = owner[:, 0] != owner[:, 1]
+    if across.any():
+        i = across.argmax()
+        raise GraphFormatError(
+            f"{edge_path.name} line {line_numbers[i]}: edge joins graph {owner[i, 0]}"
+            f" and graph {owner[i, 1]}"
         )
+    # sorted by source node, and so by graph, since graphs own contiguous node ranges
+    edges = canonical_edges(pairs, num_nodes)
+    cuts = np.searchsorted(edges[:, 0], first_node)
+    graphs = [
+        Graph(
+            node_features=features[first_node[gi]:first_node[gi + 1]],
+            edges=edges[cuts[gi]:cuts[gi + 1]] - first_node[gi],
+            label=None if graph_labels is None else int(graph_labels[1][gi]),
+        )
+        for gi in range(num_graphs)
+    ]
     return GraphDataset(
-        graphs=graphs, feature_dim=features.shape[1], num_classes=num_classes
+        graphs=graphs,
+        feature_dim=features.shape[1],
+        num_classes=None if graph_labels is None else graph_labels[0].size,
     )
 
 

@@ -136,12 +136,7 @@ def mlp_forward(x: Tensor, p: MlpParams) -> Tensor:
 
 def gin_layer(batch: GraphBatch, h: Tensor, p: GinLayerParams) -> Tensor:
     """(1 + eps) * h_v plus the neighbor sum, pushed through the layer MLP."""
-    n = h.shape[0]
-    if batch.edges.size:
-        msgs = ad.gather_rows(h, batch.edges[:, 0])
-        agg = ad.segment_sum(msgs, batch.edges[:, 1], n)
-    else:
-        agg = ad.const(np.zeros((n, h.shape[1])))
+    agg = ad.segment_sum(ad.gather_rows(h, batch.edges[:, 0]), batch.edges[:, 1], h.shape[0])
     scaled = ad.mul(h, ad.add(p.eps, ad.const(1.0)))
     return mlp_forward(ad.add(scaled, agg), p)
 
@@ -153,18 +148,13 @@ def gcn_layer(batch: GraphBatch, h: Tensor, p: GcnLayerParams) -> Tensor:
     implicit self-loop gives the usual symmetric normalization.
     """
     n = h.shape[0]
-    deg = np.ones(n)
-    if batch.edges.size:
-        deg += np.bincount(batch.edges[:, 1], minlength=n)
+    src, dst = batch.edges[:, 0], batch.edges[:, 1]
+    deg = 1.0 + np.bincount(dst, minlength=n)
     inv_sqrt = 1.0 / np.sqrt(deg)
     self_term = ad.mul(h, ad.const((1.0 / deg)[:, None]))
-    if batch.edges.size:
-        src, dst = batch.edges[:, 0], batch.edges[:, 1]
-        coef = (inv_sqrt[src] * inv_sqrt[dst])[:, None]
-        msgs = ad.mul(ad.gather_rows(h, src), ad.const(coef))
-        pre = ad.add(ad.segment_sum(msgs, dst, n), self_term)
-    else:
-        pre = self_term
+    coef = (inv_sqrt[src] * inv_sqrt[dst])[:, None]
+    msgs = ad.mul(ad.gather_rows(h, src), ad.const(coef))
+    pre = ad.add(ad.segment_sum(msgs, dst, n), self_term)
     return ad.relu(ad.add_bias(ad.matmul(pre, p.w), p.b))
 
 

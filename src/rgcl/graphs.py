@@ -60,25 +60,36 @@ def require_object(value, error: type[Exception], what: str) -> dict:
     return value
 
 
-def read_json_object(path, error: type[Exception], what: str) -> dict:
-    """Parse the file at ``path`` as one JSON object. A file that is missing, a directory,
-    unreadable, not UTF-8, not JSON or not an object raises ``error`` naming ``what`` and it."""
+def read_text(path, error: type[Exception], what: str) -> str:
+    """Read the UTF-8 text file at ``path``. A file that is missing, a directory,
+    unreadable or not UTF-8 raises ``error`` naming ``what`` and it."""
     p = Path(path)
     try:
-        payload = json.loads(p.read_text(encoding="utf-8"))
+        return p.read_text(encoding="utf-8")
     except FileNotFoundError as exc:
         raise error(f"{what} file not found: {p}") from exc
-    except json.JSONDecodeError as exc:
-        raise error(f"{what} file {p} is not valid JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"{what} file {p} cannot be read: {exc}") from exc
+
+
+def read_json_object(path, error: type[Exception], what: str) -> dict:
+    """Parse the file at ``path`` as one JSON object. A file that :func:`read_text`
+    refuses, or that is not JSON or not an object, raises ``error`` naming ``what`` and it."""
+    p = Path(path)
+    try:
+        payload = json.loads(read_text(p, error, what))
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} file {p} is not valid JSON: {exc}") from exc
     return require_object(payload, error, f"{what} file {p}")
 
 
 def write_text_atomic(path, text: str) -> None:
     """Create ``path``'s directory, write ``text`` to a sibling temp file and ``os.replace``
-    it onto ``path``: a crash or a failed write leaves the old file whole."""
+    it onto ``path``: a crash or a failed write leaves the old file whole. A ``path`` that
+    is a directory raises ``ValueError`` before anything is written."""
     path = Path(path)
+    if path.is_dir():
+        raise ValueError(f"output path {path} is a directory")
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -91,14 +102,9 @@ def write_text_atomic(path, text: str) -> None:
 def canonical_edges(edges, num_nodes: int) -> np.ndarray:
     """Validate an edge list, add every reverse edge, deduplicate, and sort."""
     arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if arr.size:
-        if arr.min() < 0 or arr.max() >= num_nodes:
-            raise GraphFormatError(
-                f"edge endpoint out of range for {num_nodes} nodes"
-            )
-        arr = np.concatenate([arr, arr[:, ::-1]], axis=0)
-        arr = np.unique(arr, axis=0)
-    return arr.reshape(-1, 2)
+    if ((arr < 0) | (arr >= num_nodes)).any():
+        raise GraphFormatError(f"edge endpoint out of range for {num_nodes} nodes")
+    return np.unique(np.concatenate([arr, arr[:, ::-1]]), axis=0)
 
 
 @dataclass(frozen=True)
@@ -203,12 +209,7 @@ def batch_graphs(graphs: list[Graph]) -> GraphBatch:
     sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     features = np.concatenate([g.node_features for g in graphs], axis=0)
-    edge_parts = [g.edges + off for g, off in zip(graphs, offsets)]
-    edges = (
-        np.concatenate(edge_parts, axis=0)
-        if edge_parts
-        else np.zeros((0, 2), dtype=np.int64)
-    )
+    edges = np.concatenate([g.edges + off for g, off in zip(graphs, offsets)], axis=0)
     graph_id = np.repeat(np.arange(len(graphs), dtype=np.int64), sizes)
     return GraphBatch(node_features=features, edges=edges, graph_id=graph_id, sizes=sizes)
 
@@ -223,14 +224,10 @@ def induced_subgraph(g: Graph, keep) -> Graph:
         raise ValueError("keep index out of range")
     remap = -np.ones(g.num_nodes, dtype=np.int64)
     remap[keep] = np.arange(keep.size)
-    if g.edges.size:
-        inside = (remap[g.edges[:, 0]] >= 0) & (remap[g.edges[:, 1]] >= 0)
-        edges = remap[g.edges[inside]]
-    else:
-        edges = np.zeros((0, 2), dtype=np.int64)
+    inside = (remap[g.edges[:, 0]] >= 0) & (remap[g.edges[:, 1]] >= 0)
     return Graph(
         node_features=g.node_features[keep].copy(),
-        edges=edges,
+        edges=remap[g.edges[inside]],
         label=g.label,
         rationale_mask=None if g.rationale_mask is None else g.rationale_mask[keep].copy(),
     )
@@ -294,10 +291,13 @@ def dataset_from_json(obj: dict) -> GraphDataset:
         raise GraphFormatError(str(exc)) from exc
 
 
+def _canonical_json(ds: GraphDataset) -> str:
+    """The bytes :func:`save_dataset_json` writes and :func:`dataset_hash` hashes."""
+    return json.dumps(dataset_to_json(ds), sort_keys=True, separators=(",", ":"))
+
+
 def save_dataset_json(ds: GraphDataset, path) -> None:
-    write_text_atomic(
-        path, json.dumps(dataset_to_json(ds), sort_keys=True, separators=(",", ":"))
-    )
+    write_text_atomic(path, _canonical_json(ds))
 
 
 def load_dataset_json(path) -> GraphDataset:
@@ -306,5 +306,4 @@ def load_dataset_json(path) -> GraphDataset:
 
 def dataset_hash(ds: GraphDataset) -> str:
     """sha256 over the canonical JSON serialization."""
-    payload = json.dumps(dataset_to_json(ds), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical_json(ds).encode("utf-8")).hexdigest()

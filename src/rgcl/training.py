@@ -34,7 +34,7 @@ from .encoder import (
     init_params,
 )
 from .graphs import Graph, GraphDataset, batch_graphs, check_field_types
-from .graphs import read_json_object, require_object, write_text_atomic
+from .graphs import read_json_object, require_int, require_object, write_text_atomic
 from .losses import (
     BatchViews,
     LossReport,
@@ -470,13 +470,20 @@ def _pack_arrays(arrays: dict[str, np.ndarray]) -> dict:
     }
 
 
-def _unpack_arrays(payload, what: str) -> dict[str, np.ndarray]:
+def _unpack_section(payload, what: str, model: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Read one packed section; it must hold exactly ``model``'s names and shapes."""
+    section = require_object(payload, CheckpointFormatError, f"{what} section")
+    if section.keys() != model.keys():
+        odd = sorted(section.keys() ^ model.keys())[:5]
+        raise ValueError(f"{what} section does not hold the model's parameters: {odd}")
     out = {}
-    for k, item in require_object(payload, CheckpointFormatError, f"{what} section").items():
+    for k, ref in model.items():
         try:
-            arr = np.asarray(item["values"], dtype=np.float64).reshape(item["shape"])
+            arr = np.asarray(section[k]["values"], dtype=np.float64).reshape(section[k]["shape"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointFormatError(f"bad {what} entry {k!r}: {exc}") from exc
+        if arr.shape != ref.shape:
+            raise ValueError(f"{what} entry {k!r} has shape {arr.shape}, not {ref.shape}")
         out[k] = arr
     return out
 
@@ -525,28 +532,19 @@ def load_checkpoint(path, expected_config: TrainConfig | None = None):
         config = expected_config
 
     try:
-        state = init_train_state(config, int(payload["input_dim"]))
-        params = _unpack_arrays(payload["params"], "parameter")
-        assign_arrays(state.params, params)
+        state = init_train_state(config, require_int("input_dim", payload["input_dim"]))
+        model = named_arrays(state.params)
         opt = require_object(payload["opt"], CheckpointFormatError, "opt section")
-        m = _unpack_arrays(opt["m"], "optimizer-m")
-        v = _unpack_arrays(opt["v"], "optimizer-v")
-        if set(m) != set(params) or set(v) != set(params):
-            raise ValueError("optimizer state does not cover the parameters")
-        for k, arr in params.items():
-            for name, moments in (("opt.m", m), ("opt.v", v)):
-                if moments[k].shape != arr.shape:
-                    raise ValueError(
-                        f"{name} entry {k!r} has shape {moments[k].shape}, not {arr.shape}"
-                    )
-        state.opt_m, state.opt_v = m, v
-        state.step = int(payload["step"])
+        assign_arrays(state.params, _unpack_section(payload["params"], "params", model))
+        state.opt_m = _unpack_section(opt["m"], "opt.m", model)
+        state.opt_v = _unpack_section(opt["v"], "opt.v", model)
+        state.step = require_int("step", payload["step"])
         rng_info = require_object(payload["rng"], CheckpointFormatError, "rng section")
         state.rng.bit_generator.state = rng_info["master"]
-        state.epoch = int(rng_info["epoch"])
-        state.epoch_cursor = int(rng_info["epoch_cursor"])
+        state.epoch = require_int("rng.epoch", rng_info["epoch"])
+        state.epoch_cursor = require_int("rng.epoch_cursor", rng_info["epoch_cursor"])
         seed = rng_info["epoch_perm_seed"]
-        state.epoch_perm_seed = None if seed is None else int(seed)
+        state.epoch_perm_seed = None if seed is None else require_int("rng.epoch_perm_seed", seed)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointFormatError(f"{p}: {exc}") from exc
     return state, config

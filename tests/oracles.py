@@ -8,6 +8,8 @@ with ``rgcl`` itself.
 from __future__ import annotations
 
 import itertools
+import re
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -178,3 +180,85 @@ def jitter_params(params, seed, scale=0.3):
     rng = np.random.default_rng(seed)
     for v in named_arrays(params).values():
         v += rng.normal(0.0, scale, v.shape)
+
+
+# ---------------------------------------------------------------------------
+# TU-format directories
+
+
+def write_random_tu(directory, seed: int, min_graphs: int = 1) -> None:
+    """Write a seeded random TU directory with prefix ``R``.
+
+    It holds ``min_graphs``-5 graphs of 1-6 nodes. Edge lines are shuffled
+    across graphs and include self-loops and blank lines, or the edge file is
+    empty. The separator is a comma, a comma and space, a space or a tab. Each
+    label file is present or absent.
+    """
+    rng = np.random.default_rng(seed)
+    d = Path(directory)
+    d.mkdir(parents=True, exist_ok=True)
+    sep = str(rng.choice([",", ", ", " ", "\t"]))
+    sizes = [int(n) for n in rng.integers(1, 7, size=int(rng.integers(min_graphs, 6)))]
+    edgeless = rng.random() < 0.25
+    lines, offset = [], 0
+    for n in sizes:
+        for _ in range(0 if edgeless else int(rng.integers(0, 2 * n + 1))):
+            u, v = (int(i) + offset + 1 for i in rng.integers(0, n, size=2))
+            lines.append(f"{u}{sep}{v}")
+        offset += n
+    lines = [lines[i] for i in rng.permutation(len(lines))]
+    if lines and rng.random() < 0.5:
+        lines.insert(int(rng.integers(0, len(lines) + 1)), "")
+    (d / "R_A.txt").write_text("".join(line + "\n" for line in lines))
+    (d / "R_graph_indicator.txt").write_text(
+        "".join(f"{g + 1}\n" for g, n in enumerate(sizes) for _ in range(n))
+    )
+    if rng.random() < 0.7:
+        labels = rng.choice([-1, 1, 3, 7], size=len(sizes))
+        (d / "R_graph_labels.txt").write_text("".join(f"{v}\n" for v in labels))
+    if rng.random() < 0.7:
+        labels = rng.integers(0, 4, size=offset)
+        (d / "R_node_labels.txt").write_text("".join(f"{v}\n" for v in labels))
+
+
+def tu_reference(directory):
+    """Parse a valid TU directory line by line.
+
+    Returns ``(graphs, num_classes)``. Each graph is ``(features, edges, label)``:
+    feature rows (one-hot over the sorted distinct node labels, else ``[1.0]``),
+    the sorted distinct local edges with every reverse added, and the graph
+    label's index among the sorted distinct labels (``None`` without labels).
+    """
+    d = Path(directory)
+    prefix = sorted(p.name for p in d.iterdir() if p.name.endswith("_A.txt"))[0][:-6]
+
+    def rows(suffix):
+        path = d / f"{prefix}_{suffix}.txt"
+        if not path.exists():
+            return None
+        with open(path, encoding="utf-8") as f:
+            return [[int(tok) for tok in re.split(r"[,\s]+", line.strip())]
+                    for line in f if line.strip()]
+
+    indicator = [r[0] for r in rows("graph_indicator")]
+    node_labels = rows("node_labels")
+    graph_labels = rows("graph_labels")
+    edge_rows = rows("A")
+    if node_labels is None:
+        features = [[1.0] for _ in indicator]
+    else:
+        values = sorted({r[0] for r in node_labels})
+        features = [[1.0 if r[0] == v else 0.0 for v in values] for r in node_labels]
+    classes = None if graph_labels is None else sorted({r[0] for r in graph_labels})
+    graphs = []
+    for g in range(1, max(indicator) + 1):
+        nodes = [i for i, x in enumerate(indicator) if x == g]
+        local = {node: k for k, node in enumerate(nodes)}
+        edges = set()
+        for u, v in edge_rows:
+            if u - 1 in local:
+                a, b = local[u - 1], local[v - 1]
+                edges |= {(a, b), (b, a)}
+        label = None if classes is None else classes.index(graph_labels[g - 1][0])
+        graphs.append(([features[i] for i in nodes], sorted(edges), label))
+    return graphs, None if classes is None else len(classes)

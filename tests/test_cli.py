@@ -330,6 +330,46 @@ class TestDataErrors:
         assert "unlabeled" in capsys.readouterr().err
         assert not (tmp / "run").exists()
 
+    def test_non_utf8_tu_file_exits_3_naming_it(self, workspace, capsys):
+        tmp, _, _ = workspace
+        tu = tmp / "tu"
+        tu.mkdir()
+        (tu / "T_A.txt").write_text("1, 2\n")
+        (tu / "T_graph_indicator.txt").write_text("1\n1\n")
+        (tu / "T_graph_labels.txt").write_bytes(b"\xff\n")
+        config = dict(CONFIG_CORE, dataset={"tu": str(tu)}, output_dir=str(tmp / "run"))
+        bad = write_json(tmp / "cfg.json", config)
+        assert main(["pretrain", "--config", bad]) == 3
+        err = capsys.readouterr().err
+        assert "T_graph_labels.txt" in err and "Traceback" not in err
+        assert not (tmp / "run").exists()
+
+    @pytest.mark.parametrize(
+        "field_path, bad",
+        [
+            (("step",), lambda v: v + 0.7),
+            (("rng", "epoch"), lambda v: True),
+            (("rng", "epoch_cursor"), str),
+            (("input_dim",), float),
+        ],
+        ids=["step-float", "epoch-bool", "epoch-cursor-string", "input-dim-whole-float"],
+    )
+    def test_non_integer_checkpoint_field_exits_3(self, workspace, capsys, field_path, bad):
+        tmp, config_path, _ = workspace
+        assert main(["pretrain", "--config", config_path]) == 0
+        ckpt = tmp / "run" / "ckpt_final.json"
+        payload = json.loads(ckpt.read_text())
+        *parents, name = field_path
+        section = payload
+        for key in parents:
+            section = section[key]
+        section[name] = bad(section[name])
+        ckpt.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["eval", "--config", config_path, "--checkpoint", str(ckpt)]) == 3
+        assert f"{'.'.join(field_path)}: must be an integer" in capsys.readouterr().err
+        assert not (tmp / "run" / "results.json").exists()
+
     def test_truncated_checkpoint(self, workspace):
         tmp, config_path, _ = workspace
         assert main(["pretrain", "--config", config_path]) == 0
@@ -431,6 +471,12 @@ class TestSynth:
         assert out.read_bytes() == first
         assert [p.name for p in out.parent.iterdir()] == ["d.json"]
 
+    def test_printed_hash_is_the_sha256_of_the_written_file(self, tmp_path, capsys):
+        out = tmp_path / "d.json"
+        assert main(["synth", "--count", "5", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.split("dataset hash: ")[1].strip()
+        assert printed == file_digest(out)
+
     def test_bad_count(self, tmp_path):
         assert main(["synth", "--count", "0", "--out", str(tmp_path / "d.json")]) == 2
 
@@ -449,3 +495,22 @@ class TestSynth:
         spec.write_text(json.dumps({"motif_size": 1}))
         assert main(["synth", "--spec", str(spec), "--count", "2",
                      "--out", str(tmp_path / "d.json")]) == 2
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("command", ["synth", "rationale"])
+    def test_output_path_that_is_a_directory_exits_2(self, workspace, capsys, command):
+        tmp, config_path, data_path = workspace
+        out = tmp / "out"
+        out.mkdir()
+        if command == "synth":
+            argv = ["synth", "--count", "2", "--out", str(out)]
+        else:
+            assert main(["pretrain", "--config", config_path]) == 0
+            argv = ["rationale", "--checkpoint", str(tmp / "run" / "ckpt_final.json"),
+                    "--dataset", str(data_path), "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(out) in err and "Traceback" not in err
+        assert list(out.iterdir()) == [] and not (tmp / "out.tmp").exists()

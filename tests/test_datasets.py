@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import tu_reference, write_random_tu
 from rgcl.datasets import (
     PlantedMotifSpec,
     _motif_edges,
@@ -88,6 +89,49 @@ class TestTuLoader:
         (tmp_path / "X_A.txt").write_text("1, 3\n")
         (tmp_path / "X_graph_indicator.txt").write_text("1\n1\n2\n")
         with pytest.raises(GraphFormatError, match="joins graph"):
+            load_tu_dataset(tmp_path)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_directory_matches_the_reference_parser(self, tmp_path, seed):
+        write_random_tu(tmp_path, seed)
+        ds = load_tu_dataset(tmp_path)
+        graphs, num_classes = tu_reference(tmp_path)
+        assert len(ds) == len(graphs) and ds.num_classes == num_classes
+        for g, (features, edges, label) in zip(ds, graphs):
+            np.testing.assert_array_equal(g.node_features, features)
+            assert [tuple(e) for e in g.edges.tolist()] == edges
+            assert g.label == label
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("kind", ["out-of-range", "zero-id", "cross-graph", "three-ids",
+                                      "one-id", "not-a-number"])
+    def test_bad_edge_line_names_the_file_and_line(self, tmp_path, seed, kind):
+        write_random_tu(tmp_path, seed, min_graphs=2)
+        num_nodes = len((tmp_path / "R_graph_indicator.txt").read_text().split())
+        bad = {
+            "out-of-range": f"1, {num_nodes + 1}",
+            "zero-id": "0, 1",
+            "cross-graph": f"1, {num_nodes}",  # first node of graph 1, last of the last graph
+            "three-ids": "1, 2, 3",
+            "one-id": "1",
+            "not-a-number": "1, x",
+        }[kind]
+        path = tmp_path / "R_A.txt"
+        lines = path.read_text().splitlines()
+        at = int(np.random.default_rng(seed).integers(0, len(lines) + 1))
+        lines.insert(at, bad)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(GraphFormatError, match=f"R_A.txt line {at + 1}:"):
+            load_tu_dataset(tmp_path)
+
+    @pytest.mark.parametrize("name", ["graph_indicator", "graph_labels", "node_labels"])
+    def test_bad_integer_line_names_the_file_and_line(self, tmp_path, name):
+        write_tiny_tu(tmp_path, name="X")
+        path = tmp_path / f"X_{name}.txt"
+        lines = path.read_text().splitlines()
+        lines[1] = "1.5"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(GraphFormatError, match=f"X_{name}.txt line 2:"):
             load_tu_dataset(tmp_path)
 
     def test_mutag_when_available(self):

@@ -276,6 +276,47 @@ class TestEncoderGradients:
                 assert max_rel_err(store[leaf], num) < 1e-4, name
 
 
+class TestEdgelessBatch:
+    """A batch with no edges at all still runs the gather/scatter message path."""
+
+    @pytest.mark.parametrize("gnn_type, pooling", [("gin", "add"), ("gcn", "mean")])
+    def test_stack_matches_dense_reference_and_finite_differences(self, gnn_type, pooling):
+        cfg = EncoderConfig(gnn_type=gnn_type, layer_dims=(4, 3), pooling=pooling)
+        rng = np.random.default_rng(7)
+        graphs = [Graph(node_features=rng.standard_normal((n, 4)), edges=np.zeros((0, 2)))
+                  for n in (1, 3, 2)]
+        batch = batch_graphs(graphs)
+        assert batch.edges.shape == (0, 2)
+        params = init_params(cfg, 4, seed=3)
+        jitter_params(params, 11)
+
+        out = encode_graph(batch, params, cfg).values
+        last = len(params.layers) - 1
+        for row, g in zip(out, graphs):
+            adj = np.zeros((g.num_nodes, g.num_nodes))
+            h = g.node_features
+            for i, layer in enumerate(params.layers):
+                if gnn_type == "gin":
+                    h = gin_layer_dense(adj, h, layer.w1, layer.b1, layer.w2, layer.b2,
+                                        float(layer.eps))
+                    h = np.maximum(h, 0.0) if i < last else h
+                else:
+                    h = gcn_layer_dense(adj, h, layer.w, layer.b)
+            pooled = h.sum(axis=0) if pooling == "add" else h.mean(axis=0)
+            np.testing.assert_allclose(row, pooled, atol=1e-12)
+
+        def f():
+            return float((encode_graph(batch, params, cfg).values ** 2).sum())
+
+        numeric = finite_difference(f, list(named_arrays(params).values()))
+        tape = ad.Tape()
+        lifted = lift_params(params, tape)
+        emb = encode_graph(batch, lifted, cfg)
+        store = ad.backward(tape, ad.sum_all(ad.mul(emb, emb)))
+        for (name, leaf), num in zip(named_leaves(lifted).items(), numeric):
+            assert max_rel_err(store[leaf], num) < 1e-4, name
+
+
 class TestParamHelpers:
     def test_named_lift_assign_round_trip(self):
         cfg = EncoderConfig(gnn_type="gin", layer_dims=(3, 2), head_dims=(4, 1))

@@ -518,6 +518,35 @@ class TestCheckpoints:
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "field_path, bad",
+        [
+            (("step",), lambda v: v + 0.7),
+            (("rng", "epoch"), lambda v: True),
+            (("rng", "epoch_cursor"), str),
+            (("input_dim",), float),
+        ],
+        ids=["step-float", "epoch-bool", "epoch-cursor-string", "input-dim-whole-float"],
+    )
+    def test_non_integer_position_field_names_the_field(
+        self, small_dataset, tmp_path, field_path, bad
+    ):
+        cfg = tiny_config()
+        state = init_train_state(cfg, small_dataset.feature_dim)
+        train_step(state, [small_dataset[i] for i in range(4)], cfg)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(state, path, cfg)
+        payload = json.loads(path.read_text())
+        *parents, name = field_path
+        section = payload
+        for key in parents:
+            section = section[key]
+        section[name] = bad(section[name])
+        path.write_text(json.dumps(payload))
+        named = f"{'.'.join(field_path)}: must be an integer"
+        with pytest.raises(CheckpointFormatError, match=named):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("moment", ["m", "v"])
     def test_moment_shape_mismatch_names_the_entry(self, small_dataset, tmp_path, moment):
         cfg = tiny_config()

@@ -15,6 +15,9 @@ It covers:
   ``ckpt_final.json`` from ``rgcl pretrain``, ``results.json`` from
   ``rgcl eval`` (probe, rationale precision, view cosines) and the
   ``rgcl rationale`` export;
+* the same four artifacts for a ``swapped`` run: variant ``full`` with a GCN
+  encoder, a GIN generator and mean pooling, so that each message-passing
+  layer type runs both as the encoder and as the scorer, on the tape;
 * the dataset hash of each seeded random TU directory that
   ``tests/oracles.py::write_random_tu`` writes (seeds 0-29).
 
@@ -40,7 +43,13 @@ from rgcl.datasets import load_tu_dataset  # noqa: E402
 from rgcl.graphs import dataset_hash  # noqa: E402
 from rgcl.training import TrainConfig  # noqa: E402
 
-VARIANTS = ("full", "no_rv", "no_i")
+# (run name, variant, TrainConfig fields set on top of seed=1, epochs=2)
+RUNS = (
+    ("full", "full", {}),
+    ("no_rv", "no_rv", {}),
+    ("no_i", "no_i", {}),
+    ("swapped", "full", {"encoder_gnn": "gcn", "generator_gnn": "gin", "pooling": "mean"}),
+)
 TU_SEEDS = range(30)
 
 
@@ -64,11 +73,11 @@ def fingerprint(tmp: Path) -> list[str]:
     printed = run(["synth", "--count", "200", "--out", str(data)])
     lines.append(f"synth/data.json {digest(data)}")
     lines.append(f"synth/{printed.splitlines()[-1]}")
-    for variant in VARIANTS:
-        out = tmp / variant
-        config = TrainConfig(seed=1, epochs=2).to_dict()
+    for name, variant, fields in RUNS:
+        out = tmp / name
+        config = TrainConfig(seed=1, epochs=2, **fields).to_dict()
         config.update(dataset={"json": str(data)}, output_dir=str(out))
-        config_path = tmp / f"{variant}.json"
+        config_path = tmp / f"{name}.json"
         config_path.write_text(json.dumps(config))
         ckpt = out / "ckpt_final.json"
         run(["pretrain", "--config", str(config_path), "--variant", variant])
@@ -77,8 +86,8 @@ def fingerprint(tmp: Path) -> list[str]:
         export = out / "rationale.json"
         run(["rationale", "--checkpoint", str(ckpt), "--dataset", str(data),
              "--out", str(export)])
-        for name in ("metrics.jsonl", "ckpt_final.json", "results.json", "rationale.json"):
-            lines.append(f"{variant}/{name} {digest(out / name)}")
+        for artifact in ("metrics.jsonl", "ckpt_final.json", "results.json", "rationale.json"):
+            lines.append(f"{name}/{artifact} {digest(out / artifact)}")
     for seed in TU_SEEDS:
         directory = tmp / "tu" / str(seed)
         write_random_tu(directory, seed)

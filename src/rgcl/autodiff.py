@@ -441,6 +441,42 @@ def segment_mean(values: Tensor, segment_ids, num_segments: int) -> Tensor:
     return _emit(out, [(values, vjp)])
 
 
+def gin_aggregate(h: Tensor, eps: Tensor, src: np.ndarray, dst: np.ndarray) -> Tensor:
+    """GIN's aggregation ``h * (eps + 1)`` plus, for every edge (u, v), row u
+    of the [n, d] matrix ``h`` added into row v, as one record.
+
+    ``eps`` is a scalar; ``src`` / ``dst`` are int64 edge endpoints in range.
+    The value and both VJPs evaluate their terms in the order of the unfused
+    gather / scatter / mul / add chain, so they equal it bit for bit.
+    """
+    hv = h.values
+    n = hv.shape[0]
+    factor = eps.values + 1.0
+    out = hv * factor + _scatter_rows(hv[src], dst, n)
+    return _emit(out, [
+        (h, lambda g: g * factor + _scatter_rows(g[dst], src, n)),
+        (eps, lambda g: np.asarray((g * hv).sum())),
+    ])
+
+
+def gcn_propagate(
+    h: Tensor, src: np.ndarray, dst: np.ndarray, edge_coef: np.ndarray, self_coef: np.ndarray
+) -> Tensor:
+    """GCN's normalized propagation as one record: for every edge (u, v), row u
+    of ``h`` times ``edge_coef`` added into row v, plus ``h * self_coef``.
+
+    ``edge_coef`` is an [E, 1] column over the edges and ``self_coef`` an
+    [n, 1] column over the nodes. As with :func:`gin_aggregate`, the value
+    and the VJP equal the unfused chain bit for bit.
+    """
+    hv = h.values
+    n = hv.shape[0]
+    out = _scatter_rows(hv[src] * edge_coef, dst, n) + hv * self_coef
+    return _emit(out, [
+        (h, lambda g: _scatter_rows(g[dst] * edge_coef, src, n) + g * self_coef),
+    ])
+
+
 def l2_normalize(a: Tensor) -> Tensor:
     """Normalize each row to unit L2 norm; rows below NORM_EPS pass through."""
     if len(a.shape) != 2:

@@ -136,25 +136,18 @@ def mlp_forward(x: Tensor, p: MlpParams) -> Tensor:
 
 def gin_layer(batch: GraphBatch, h: Tensor, p: GinLayerParams) -> Tensor:
     """(1 + eps) * h_v plus the neighbor sum, pushed through the layer MLP."""
-    agg = ad.segment_sum(ad.gather_rows(h, batch.edges[:, 0]), batch.edges[:, 1], h.shape[0])
-    scaled = ad.mul(h, ad.add(p.eps, ad.const(1.0)))
-    return mlp_forward(ad.add(scaled, agg), p)
+    return mlp_forward(ad.gin_aggregate(h, p.eps, batch.src, batch.dst), p)
 
 
 def gcn_layer(batch: GraphBatch, h: Tensor, p: GcnLayerParams) -> Tensor:
     """ReLU(normalized-adjacency @ h @ w + b), self-loops added here.
 
     With edges duplicated per direction, the in-degree count plus the
-    implicit self-loop gives the usual symmetric normalization.
+    implicit self-loop gives the usual symmetric normalization. The
+    coefficients are computed once per batch (``GraphBatch.gcn_coefs``).
     """
-    n = h.shape[0]
-    src, dst = batch.edges[:, 0], batch.edges[:, 1]
-    deg = 1.0 + np.bincount(dst, minlength=n)
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    self_term = ad.mul(h, ad.const((1.0 / deg)[:, None]))
-    coef = (inv_sqrt[src] * inv_sqrt[dst])[:, None]
-    msgs = ad.mul(ad.gather_rows(h, src), ad.const(coef))
-    pre = ad.add(ad.segment_sum(msgs, dst, n), self_term)
+    edge_coef, self_coef = batch.gcn_coefs
+    pre = ad.gcn_propagate(h, batch.src, batch.dst, edge_coef, self_coef)
     return ad.relu(ad.add_bias(ad.matmul(pre, p.w), p.b))
 
 

@@ -15,6 +15,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -86,11 +87,15 @@ def read_json_object(path, error: type[Exception], what: str) -> dict:
 def write_text_atomic(path, text: str) -> None:
     """Create ``path``'s directory, write ``text`` to a sibling temp file and ``os.replace``
     it onto ``path``: a crash or a failed write leaves the old file whole. A ``path`` that
-    is a directory raises ``ValueError`` before anything is written."""
+    is a directory, or one under a regular file, raises ``ValueError`` before anything
+    is written."""
     path = Path(path)
     if path.is_dir():
         raise ValueError(f"output path {path} is a directory")
-    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ValueError(f"output path {path} is under a file that is not a directory") from exc
     tmp = path.with_name(path.name + ".tmp")
     try:
         tmp.write_text(text, encoding="utf-8")
@@ -147,6 +152,14 @@ class Graph:
     def feature_dim(self) -> int:
         return self.node_features.shape[1]
 
+    @cached_property
+    def as_batch(self) -> "GraphBatch":
+        """``batch_graphs([self])``, built on first use and kept with the graph, so
+        the scorer that runs on each dataset graph every step reuses it and its
+        cached edge constants. The batch holds copies of the graph's arrays, so
+        edit neither in place after first use."""
+        return batch_graphs([self])
+
 
 @dataclass
 class GraphDataset:
@@ -197,6 +210,27 @@ class GraphBatch:
     @property
     def num_nodes(self) -> int:
         return self.node_features.shape[0]
+
+    # Edge constants every message-passing layer over the batch reads; each is
+    # computed on first use and then shared by all layers.
+
+    @cached_property
+    def src(self) -> np.ndarray:
+        return np.ascontiguousarray(self.edges[:, 0])
+
+    @cached_property
+    def dst(self) -> np.ndarray:
+        return np.ascontiguousarray(self.edges[:, 1])
+
+    @cached_property
+    def gcn_coefs(self) -> tuple[np.ndarray, np.ndarray]:
+        """GCN's symmetric normalization with a self-loop on every node:
+        ``(edge_coef [E, 1], self_coef [n, 1])``, where ``edge_coef`` of edge
+        (u, v) is 1 / sqrt(deg u * deg v) and ``self_coef`` of v is 1 / deg v,
+        deg counting in-edges plus the self-loop."""
+        deg = 1.0 + np.bincount(self.dst, minlength=self.num_nodes)
+        inv_sqrt = 1.0 / np.sqrt(deg)
+        return (inv_sqrt[self.src] * inv_sqrt[self.dst])[:, None], (1.0 / deg)[:, None]
 
 
 def batch_graphs(graphs: list[Graph]) -> GraphBatch:

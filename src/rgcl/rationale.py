@@ -22,7 +22,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .encoder import EncoderConfig, EncoderParams, mlp_forward, node_embeddings
-from .graphs import Graph, batch_graphs, induced_subgraph
+from .graphs import Graph, induced_subgraph
+# perfbench's tracer wraps rgcl.rationale.batch_graphs, so the name stays importable here
+from .graphs import batch_graphs  # noqa: F401
 from .params import lift_params
 
 # Sampling weights (and complement attribution values) are clamped into this
@@ -74,8 +76,7 @@ def attribute_nodes(
     if params.head is None:
         raise ValueError("attribution scorer requires head parameters")
     params = lift_params(params, None)
-    batch = batch_graphs([g])
-    h = node_embeddings(batch, params, config)
+    h = node_embeddings(g.as_batch, params, config)
     scores = mlp_forward(h, params.head)
     if scores.shape != (g.num_nodes, 1):
         raise ValueError(

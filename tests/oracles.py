@@ -2,7 +2,9 @@
 
 Everything here is written the slow, obvious way (dense matrices, explicit
 enumeration, arbitrary-precision arithmetic) and deliberately shares no code
-with ``rgcl`` itself.
+with ``rgcl`` itself. The one exception is the unfused message-passing chains:
+they are built from the package's elementary tape ops, because the fused ops
+must match exactly those chains, bit for bit.
 """
 
 from __future__ import annotations
@@ -77,6 +79,38 @@ def gcn_layer_dense(adj, h, w, b) -> np.ndarray:
     d_inv_sqrt = np.diag(1.0 / np.sqrt(deg))
     norm = d_inv_sqrt @ a_hat @ d_inv_sqrt
     return np.maximum(norm @ h @ w + b, 0.0)
+
+
+def gin_aggregate_unfused(h, eps, src, dst):
+    """``autodiff.gin_aggregate`` as the chain of elementary tape ops it fuses:
+    gather the source rows, scatter them onto the destinations, and add
+    ``h * (eps + 1)``."""
+    import rgcl.autodiff as ad
+
+    agg = ad.segment_sum(ad.gather_rows(h, src), dst, h.shape[0])
+    scaled = ad.mul(h, ad.add(eps, ad.const(1.0)))
+    return ad.add(scaled, agg)
+
+
+def gcn_propagate_unfused(h, src, dst, edge_coef, self_coef):
+    """``autodiff.gcn_propagate`` as the chain of elementary tape ops it fuses:
+    the self term, the gathered rows times their edge weights, the scatter onto
+    the destinations and the sum."""
+    import rgcl.autodiff as ad
+
+    self_term = ad.mul(h, ad.const(self_coef))
+    msgs = ad.mul(ad.gather_rows(h, src), ad.const(edge_coef))
+    return ad.add(ad.segment_sum(msgs, dst, h.shape[0]), self_term)
+
+
+def gcn_coefs_fresh(edges, num_nodes):
+    """GCN's ``(edge_coef, self_coef)`` for one edge list, computed from scratch
+    the way a GCN layer computes them for each call: the degree counts
+    in-edges plus the self-loop."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    deg = 1.0 + np.bincount(edges[:, 1], minlength=num_nodes)
+    inv_sqrt = 1.0 / np.sqrt(deg)
+    return (inv_sqrt[edges[:, 0]] * inv_sqrt[edges[:, 1]])[:, None], (1.0 / deg)[:, None]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 import rgcl.autodiff as ad
-from oracles import finite_difference, max_rel_err, softmax_ref
+from oracles import (
+    finite_difference,
+    gcn_propagate_unfused,
+    gin_aggregate_unfused,
+    max_rel_err,
+    softmax_ref,
+)
+from rgcl.graphs import Graph, batch_graphs, canonical_edges
 
 SEEDS = range(20)
 TOL = 1e-4
@@ -270,6 +277,97 @@ class TestScatterKernels:
             loss = ad.sum_all(ad.mul(ad.gather_rows(a, idx), ad.const(upstream)))
             got = ad.backward(tape, loss)[a]
             assert np.array_equal(got, add_at_rows(upstream, idx, n), equal_nan=True)
+
+
+def message_passing_batches():
+    """Graph batches for the fused ops: random batches in which some nodes have
+    no edge, a single-node graph, and a batch with no edge at all."""
+    rng = np.random.default_rng(31)
+
+    def graph(n, edge_prob):
+        # the last node never gets an edge
+        pairs = [(u, v) for u in range(n - 1) for v in range(u + 1, n - 1)
+                 if rng.random() < edge_prob]
+        return Graph(node_features=rng.standard_normal((n, 3)),
+                     edges=canonical_edges(pairs, n))
+
+    batches = [
+        batch_graphs([graph(int(rng.integers(2, 9)), 0.5) for _ in range(4)])
+        for _ in range(4)
+    ]
+    batches.append(batch_graphs([graph(1, 0.5)]))
+    batches.append(batch_graphs([graph(n, 0.0) for n in (1, 3, 2)]))
+    assert batches[-1].edges.size == 0
+    return batches
+
+
+def gin_forms(batch):
+    """The fused GIN aggregation and its unfused chain, as functions of (h, eps)."""
+    return (lambda h, eps: ad.gin_aggregate(h, eps, batch.src, batch.dst),
+            lambda h, eps: gin_aggregate_unfused(h, eps, batch.src, batch.dst))
+
+
+def gcn_forms(batch):
+    """The fused GCN propagation and its unfused chain, as functions of h."""
+    edge_coef, self_coef = batch.gcn_coefs
+    return (lambda h: ad.gcn_propagate(h, batch.src, batch.dst, edge_coef, self_coef),
+            lambda h: gcn_propagate_unfused(h, batch.src, batch.dst, edge_coef, self_coef))
+
+
+class TestFusedMessagePassing:
+    """Each fused op is one record whose value and VJPs equal the unfused
+    gather / scatter / mul / add chain bit for bit."""
+
+    @staticmethod
+    def value_and_grads(op, arrays, w):
+        tape = ad.Tape()
+        leaves = [tape.leaf(a) for a in arrays]
+        out = op(*leaves)
+        store = ad.backward(tape, ad.sum_all(ad.mul(out, ad.const(w))))
+        return out.values, [store[leaf] for leaf in leaves], tape.num_records
+
+    def check_bit_identical(self, forms, arrays, rng):
+        fused, unfused = forms
+        w = rng.standard_normal(arrays[0].shape)
+        value, grads, records = self.value_and_grads(fused, arrays, w)
+        ref_value, ref_grads, _ = self.value_and_grads(unfused, arrays, w)
+        assert np.array_equal(value, ref_value)
+        for got, want in zip(grads, ref_grads):
+            assert got.shape == want.shape and np.array_equal(got, want)
+        assert records == 3  # the fused op, then mul and sum_all of the loss
+
+    def test_gin_aggregate_equals_unfused_chain(self):
+        rng = np.random.default_rng(0)
+        for batch in message_passing_batches():
+            h = rng.standard_normal((batch.num_nodes, 4))
+            self.check_bit_identical(gin_forms(batch), [h, np.asarray(rng.standard_normal())], rng)
+
+    def test_gcn_propagate_equals_unfused_chain(self):
+        rng = np.random.default_rng(1)
+        for batch in message_passing_batches():
+            h = rng.standard_normal((batch.num_nodes, 4))
+            self.check_bit_identical(gcn_forms(batch), [h], rng)
+
+    def test_untracked_inputs_give_untracked_values(self):
+        batch = message_passing_batches()[0]
+        h = ad.const(np.ones((batch.num_nodes, 2)))
+        for forms, args in ((gin_forms(batch), (h, ad.const(0.5))), (gcn_forms(batch), (h,))):
+            out, ref = (op(*args) for op in forms)
+            assert out.tape is None and np.array_equal(out.values, ref.values)
+
+    def test_gin_aggregate_matches_finite_differences(self):
+        for i, batch in enumerate(message_passing_batches()):
+            def make_arrays(r, n=batch.num_nodes):
+                return [r.standard_normal((n, 3)), np.asarray(r.standard_normal())]
+
+            run_gradcheck(make_arrays, lambda t, op=gin_forms(batch)[0]: op(*t),
+                          seeds=range(3 * i, 3 * i + 3))
+
+    def test_gcn_propagate_matches_finite_differences(self):
+        for i, batch in enumerate(message_passing_batches()):
+            run_gradcheck(lambda r, n=batch.num_nodes: [r.standard_normal((n, 3))],
+                          lambda t, op=gcn_forms(batch)[0]: op(*t),
+                          seeds=range(3 * i, 3 * i + 3))
 
 
 class TestMaskedRowOps:

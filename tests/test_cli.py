@@ -498,19 +498,37 @@ class TestSynth:
 
 
 class TestOutputPaths:
+    @staticmethod
+    def argv_writing(command, workspace, out):
+        """The argv of ``command`` writing its output to ``out``."""
+        tmp, config_path, data_path = workspace
+        if command == "synth":
+            return ["synth", "--count", "2", "--out", str(out)]
+        assert main(["pretrain", "--config", config_path]) == 0
+        return ["rationale", "--checkpoint", str(tmp / "run" / "ckpt_final.json"),
+                "--dataset", str(data_path), "--out", str(out)]
+
     @pytest.mark.parametrize("command", ["synth", "rationale"])
     def test_output_path_that_is_a_directory_exits_2(self, workspace, capsys, command):
-        tmp, config_path, data_path = workspace
+        tmp = workspace[0]
         out = tmp / "out"
         out.mkdir()
-        if command == "synth":
-            argv = ["synth", "--count", "2", "--out", str(out)]
-        else:
-            assert main(["pretrain", "--config", config_path]) == 0
-            argv = ["rationale", "--checkpoint", str(tmp / "run" / "ckpt_final.json"),
-                    "--dataset", str(data_path), "--out", str(out)]
+        argv = self.argv_writing(command, workspace, out)
         capsys.readouterr()
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert str(out) in err and "Traceback" not in err
         assert list(out.iterdir()) == [] and not (tmp / "out.tmp").exists()
+
+    @pytest.mark.parametrize("under", ["afile", "afile/sub"])
+    @pytest.mark.parametrize("command", ["synth", "rationale"])
+    def test_output_path_under_a_regular_file_exits_2(self, workspace, capsys, command, under):
+        tmp = workspace[0]
+        (tmp / "afile").write_text("kept")
+        out = tmp / under / "d.json"
+        argv = self.argv_writing(command, workspace, out)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(out) in err and "Traceback" not in err
+        assert (tmp / "afile").read_text() == "kept"

@@ -18,6 +18,7 @@ from oracles import (
 from rgcl.encoder import (
     EncoderConfig,
     EncoderParams,
+    GcnLayerParams,
     GinLayerParams,
     PassCounter,
     encode_graph,
@@ -133,6 +134,21 @@ class TestGinLayer:
 
 
 class TestGcnLayer:
+    def test_batched_equals_per_graph(self):
+        rng = np.random.default_rng(5)
+        graphs = [random_graph(rng) for _ in range(3)]
+        graphs.append(Graph(node_features=rng.standard_normal((2, 4)), edges=np.zeros((0, 2))))
+        p = lift_params(GcnLayerParams(w=rng.standard_normal((4, 5)), b=np.zeros(5)), None)
+        batch = batch_graphs(graphs)
+        merged = gcn_layer(batch, ad.const(batch.node_features), p).values
+        offset = 0
+        for g in graphs:
+            single = gcn_layer(batch_graphs([g]), ad.const(g.node_features), p).values
+            np.testing.assert_allclose(
+                merged[offset:offset + g.num_nodes], single, atol=1e-12
+            )
+            offset += g.num_nodes
+
     def test_matches_dense_reference(self):
         for seed in range(10):
             rng = np.random.default_rng(100 + seed)
@@ -140,7 +156,6 @@ class TestGcnLayer:
             batch = batch_graphs([g])
             raw_w = rng.standard_normal((4, 3))
             raw_b = rng.standard_normal(3)
-            from rgcl.encoder import GcnLayerParams
             out = gcn_layer(batch, ad.const(g.node_features),
                             lift_params(GcnLayerParams(w=raw_w, b=raw_b), None))
             adj = dense_adjacency(g.num_nodes, g.edges)
@@ -148,7 +163,6 @@ class TestGcnLayer:
             np.testing.assert_allclose(out.values, expected, atol=1e-10)
 
     def test_single_isolated_node(self):
-        from rgcl.encoder import GcnLayerParams
         g = Graph(node_features=np.array([[2.0]]), edges=np.zeros((0, 2)))
         out = gcn_layer(batch_graphs([g]), ad.const(g.node_features),
                         lift_params(GcnLayerParams(w=np.array([[3.0]]), b=np.zeros(1)), None))

@@ -15,7 +15,7 @@ from rgcl.graphs import (
     load_dataset_json,
     save_dataset_json,
 )
-from oracles import induced_edges_bruteforce
+from oracles import gcn_coefs_fresh, induced_edges_bruteforce
 
 
 def triangle() -> Graph:
@@ -99,6 +99,31 @@ class TestBatching:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             batch_graphs([])
+
+
+class TestCachedConstants:
+    def test_edge_constants_equal_a_fresh_computation(self):
+        rng = np.random.default_rng(12)
+        for trial in range(20):
+            batch = batch_graphs([random_graph(rng) for _ in range(int(rng.integers(1, 6)))])
+            assert np.array_equal(batch.src, batch.edges[:, 0])
+            assert np.array_equal(batch.dst, batch.edges[:, 1])
+            assert batch.src.flags.c_contiguous and batch.dst.flags.c_contiguous
+            edge_coef, self_coef = batch.gcn_coefs
+            want_edge, want_self = gcn_coefs_fresh(batch.edges, batch.num_nodes)
+            assert edge_coef.shape == (len(batch.edges), 1)
+            assert self_coef.shape == (batch.num_nodes, 1)
+            assert np.array_equal(edge_coef, want_edge) and np.array_equal(self_coef, want_self)
+            assert batch.gcn_coefs is batch.gcn_coefs and batch.src is batch.src
+
+    def test_one_graph_batch_is_built_once_and_equals_batch_graphs(self):
+        rng = np.random.default_rng(13)
+        for trial in range(20):
+            g = random_graph(rng)
+            cached, fresh = g.as_batch, batch_graphs([g])
+            assert cached is g.as_batch
+            for name in ("node_features", "edges", "graph_id", "sizes"):
+                assert np.array_equal(getattr(cached, name), getattr(fresh, name)), name
 
 
 class TestInducedSubgraph:

@@ -56,6 +56,20 @@ class TestAttributeNodes:
             assert np.all(p > 0) and np.all(p < 1)
             assert abs(p.sum() - 1.0) < 1e-9
 
+    def test_repeat_calls_reuse_the_graph_batch_bit_for_bit(self):
+        """The second call reads the graph's cached batch; it and a call on an
+        equal graph that has no cached batch yet give the same bits."""
+        params = init_params(GEN_CFG, 2, seed=2)
+        for seed in range(5):
+            g = path_graph(7, seed=seed)
+            first = attribute_nodes(g, params, GEN_CFG).probs.values
+            batch = g.as_batch
+            second = attribute_nodes(g, params, GEN_CFG).probs.values
+            assert g.as_batch is batch
+            twin = Graph(node_features=g.node_features.copy(), edges=g.edges.copy())
+            fresh = attribute_nodes(twin, params, GEN_CFG).probs.values
+            assert np.array_equal(first, second) and np.array_equal(first, fresh)
+
     def test_head_params_required(self):
         cfg = EncoderConfig(gnn_type="gcn", layer_dims=(4,))
         with pytest.raises(ValueError, match="head"):

@@ -154,11 +154,15 @@ class Graph:
 
     @cached_property
     def as_batch(self) -> "GraphBatch":
-        """``batch_graphs([self])``, built on first use and kept with the graph, so
-        the scorer that runs on each dataset graph every step reuses it and its
-        cached edge constants. The batch holds copies of the graph's arrays, so
-        edit neither in place after first use."""
-        return batch_graphs([self])
+        """This graph as a one-graph batch, equal to ``batch_graphs([self])``, built on
+        first use and kept with the graph, so the scorer that runs on each dataset
+        graph every step reuses it and its cached edge constants. It shares the
+        graph's feature and edge arrays instead of copying them; neither is ever
+        written in place."""
+        n = self.num_nodes
+        return GraphBatch(node_features=self.node_features, edges=self.edges,
+                          graph_id=np.zeros(n, dtype=np.int64),
+                          sizes=np.array([n], dtype=np.int64))
 
 
 @dataclass

@@ -122,6 +122,7 @@ class TestCachedConstants:
             g = random_graph(rng)
             cached, fresh = g.as_batch, batch_graphs([g])
             assert cached is g.as_batch
+            assert cached.node_features is g.node_features and cached.edges is g.edges
             for name in ("node_features", "edges", "graph_id", "sizes"):
                 assert np.array_equal(getattr(cached, name), getattr(fresh, name)), name
 

@@ -63,26 +63,15 @@ def const(values) -> Tensor:
     return Tensor(values)
 
 
-class _Record:
-    __slots__ = ("out_id", "inputs")
-
-    def __init__(self, out_id: int, inputs: tuple):
-        self.out_id = out_id
-        # inputs: tuple of (input node_id, vjp callable grad_out -> grad_in)
-        self.inputs = inputs
-
-
 class Tape:
     """Ordered log of one forward pass, replayed once by ``backward``."""
 
     def __init__(self):
-        self._records: list[_Record] = []
+        # one (output node id, ((input node id, vjp grad_out -> grad_in), ...))
+        # tuple per recorded op, in forward order
+        self._records: list[tuple[int, tuple]] = []
         self._next_id = 0
         self._consumed = False
-
-    @property
-    def consumed(self) -> bool:
-        return self._consumed
 
     @property
     def num_records(self) -> int:
@@ -90,22 +79,17 @@ class Tape:
 
     def leaf(self, values) -> Tensor:
         """Register an input node (typically a parameter) on this tape."""
+        return self._push(values)
+
+    def _push(self, values, inputs: tuple = ()) -> Tensor:
+        """A new node holding ``values``, recorded with its ``inputs`` unless
+        it is a leaf."""
         if self._consumed:
             raise RuntimeError("tape already consumed; build a fresh tape per forward pass")
-        return self._node(np.asarray(values, dtype=np.float64))
-
-    def _node(self, values: np.ndarray) -> Tensor:
-        node_id = self._next_id
+        out = Tensor(values, tape=self, node_id=self._next_id)
         self._next_id += 1
-        return Tensor(values, tape=self, node_id=node_id)
-
-    def _emit(self, values: np.ndarray, parents: Sequence[tuple[Tensor, Callable]]) -> Tensor:
-        if self._consumed:
-            raise RuntimeError("tape already consumed; build a fresh tape per forward pass")
-        out = self._node(values)
-        self._records.append(
-            _Record(out.node_id, tuple((t.node_id, vjp) for t, vjp in parents))
-        )
+        if inputs:
+            self._records.append((out.node_id, inputs))
         return out
 
 
@@ -142,11 +126,11 @@ def backward(tape: Tape, loss: Tensor) -> GradientStore:
     tape._consumed = True
 
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.values)}
-    for rec in reversed(tape._records):
-        g = grads.get(rec.out_id)
+    for out_id, inputs in reversed(tape._records):
+        g = grads.get(out_id)
         if g is None:
             continue  # node does not influence the loss
-        for node_id, vjp in rec.inputs:
+        for node_id, vjp in inputs:
             contrib = vjp(g)
             prev = grads.get(node_id)
             # accumulation at fan-in; fresh array so views are never mutated
@@ -163,10 +147,10 @@ def _emit(values: np.ndarray, parents: Sequence[tuple[Tensor, Callable]]) -> Ten
     tracked = [(t, vjp) for t, vjp in parents if t.tape is not None]
     if not tracked:
         return Tensor(values)
-    tapes = {t.tape for t, _ in tracked}
-    if len(tapes) != 1:
+    tape = tracked[0][0].tape
+    if any(t.tape is not tape for t, _ in tracked):
         raise ValueError("operands are recorded on different tapes")
-    return tracked[0][0].tape._emit(values, tracked)
+    return tape._push(values, tuple((t.node_id, vjp) for t, vjp in tracked))
 
 
 def _check_broadcast(sa: tuple, sb: tuple) -> None:

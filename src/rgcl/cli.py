@@ -310,18 +310,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
-        if isinstance(exc, (GraphFormatError, CheckpointFormatError)):
-            print(f"data error: {exc}", file=sys.stderr)
-            return EXIT_DATA
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (GraphFormatError, CheckpointFormatError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except ValueError as exc:  # ConfigError among them
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

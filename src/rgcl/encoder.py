@@ -48,13 +48,20 @@ class EncoderConfig:
 
 
 @dataclass
-class GinLayerParams:
-    """Sum-aggregation layer: MLP((1 + eps) * h_v + sum of neighbor h_u)."""
+class MlpParams:
+    """Two affine maps with one inner ReLU: every GIN layer's MLP, the scorer
+    head and the projector."""
 
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
+
+
+@dataclass
+class GinLayerParams(MlpParams):
+    """Sum-aggregation layer: MLP((1 + eps) * h_v + sum of neighbor h_u)."""
+
     eps: np.ndarray  # learnable scalar, shape ()
 
 
@@ -62,16 +69,6 @@ class GinLayerParams:
 class GcnLayerParams:
     w: np.ndarray
     b: np.ndarray
-
-
-@dataclass
-class MlpParams:
-    """Two affine maps with one inner ReLU."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
 
 
 @dataclass
@@ -95,9 +92,19 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
+def init_mlp(rng: np.random.Generator, d_in: int, d_hidden: int, d_out: int) -> MlpParams:
+    """Glorot-uniform ``w1`` then ``w2`` drawn from ``rng``, zero biases."""
+    return MlpParams(
+        w1=glorot(rng, d_in, d_hidden),
+        b1=np.zeros(d_hidden),
+        w2=glorot(rng, d_hidden, d_out),
+        b2=np.zeros(d_out),
+    )
+
+
 def init_params(config: EncoderConfig, input_dim: int, seed: int) -> EncoderParams:
     """Glorot-uniform weights, zero biases, zero GIN epsilons; deterministic
-    for a given seed."""
+    for a given seed. The layers draw in order, then the head."""
     if input_dim < 1:
         raise ValueError("input_dim must be >= 1")
     rng = np.random.default_rng(seed)
@@ -105,27 +112,12 @@ def init_params(config: EncoderConfig, input_dim: int, seed: int) -> EncoderPara
     d_prev = input_dim
     for d_out in config.layer_dims:
         if config.gnn_type == "gin":
-            layers.append(
-                GinLayerParams(
-                    w1=glorot(rng, d_prev, d_out),
-                    b1=np.zeros(d_out),
-                    w2=glorot(rng, d_out, d_out),
-                    b2=np.zeros(d_out),
-                    eps=np.zeros(()),
-                )
-            )
+            mlp = init_mlp(rng, d_prev, d_out, d_out)
+            layers.append(GinLayerParams(**vars(mlp), eps=np.zeros(())))
         else:
             layers.append(GcnLayerParams(w=glorot(rng, d_prev, d_out), b=np.zeros(d_out)))
         d_prev = d_out
-    head = None
-    if config.head_dims is not None:
-        hidden, out = config.head_dims
-        head = MlpParams(
-            w1=glorot(rng, d_prev, hidden),
-            b1=np.zeros(hidden),
-            w2=glorot(rng, hidden, out),
-            b2=np.zeros(out),
-        )
+    head = None if config.head_dims is None else init_mlp(rng, d_prev, *config.head_dims)
     return EncoderParams(layers=layers, head=head)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .encoder import EncoderConfig, EncoderParams, encode_graph
 from .graphs import GraphDataset, batch_graphs
-from .rationale import attribute_nodes
+from .rationale import attribute_nodes, top_k_nodes
 from .training import (
     TrainConfig,
     TrainState,
@@ -157,8 +157,7 @@ def precision_at_k(probs: np.ndarray, mask: np.ndarray) -> float:
     k = int(m.sum())
     if k < 1:
         raise ValueError("mask selects no nodes; precision undefined")
-    top = np.lexsort((np.arange(p.size), -p))[:k]
-    return float(m[top].sum() / k)
+    return float(m[top_k_nodes(p, k)].sum() / k)
 
 
 def rationale_precision(

@@ -84,6 +84,18 @@ def read_json_object(path, error: type[Exception], what: str) -> dict:
     return require_object(payload, error, f"{what} file {p}")
 
 
+def make_dirs(directory, path=None) -> None:
+    """Create ``directory`` and its missing parents for the output ``path`` (by
+    default the directory itself). A regular file at ``directory`` or above it
+    raises ``ValueError`` naming ``path``."""
+    try:
+        Path(directory).mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ValueError(
+            f"output path {path or directory} is, or is under, a file that is not a directory"
+        ) from exc
+
+
 def write_text_atomic(path, text: str) -> None:
     """Create ``path``'s directory, write ``text`` to a sibling temp file and ``os.replace``
     it onto ``path``: a crash or a failed write leaves the old file whole. A ``path`` that
@@ -92,10 +104,7 @@ def write_text_atomic(path, text: str) -> None:
     path = Path(path)
     if path.is_dir():
         raise ValueError(f"output path {path} is a directory")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
-        raise ValueError(f"output path {path} is under a file that is not a directory") from exc
+    make_dirs(path.parent, path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         tmp.write_text(text, encoding="utf-8")
@@ -264,10 +273,10 @@ def induced_subgraph(g: Graph, keep) -> Graph:
     remap[keep] = np.arange(keep.size)
     inside = (remap[g.edges[:, 0]] >= 0) & (remap[g.edges[:, 1]] >= 0)
     return Graph(
-        node_features=g.node_features[keep].copy(),
+        node_features=g.node_features[keep],
         edges=remap[g.edges[inside]],
         label=g.label,
-        rationale_mask=None if g.rationale_mask is None else g.rationale_mask[keep].copy(),
+        rationale_mask=None if g.rationale_mask is None else g.rationale_mask[keep],
     )
 
 

@@ -26,29 +26,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NORM_EPS, Tensor
-from .encoder import MlpParams, glorot, mlp_forward
+from .encoder import MlpParams, mlp_forward
 from .params import lift_params
 
 UNIT_ROW_TOL = 1e-10
 
 
-@dataclass
-class ProjectorParams(MlpParams):
-    """One-hidden-layer MLP applied to pooled embeddings before the loss."""
-
-
-def init_projector_params(input_dim: int, hidden: int, output_dim: int, seed: int) -> ProjectorParams:
-    rng = np.random.default_rng(seed)
-    return ProjectorParams(
-        w1=glorot(rng, input_dim, hidden),
-        b1=np.zeros(hidden),
-        w2=glorot(rng, hidden, output_dim),
-        b2=np.zeros(output_dim),
-    )
-
-
-def project(x: Tensor, params: ProjectorParams) -> Tensor:
-    """MLP then row-wise L2 normalization onto the unit sphere."""
+def project(x: Tensor, params: MlpParams) -> Tensor:
+    """The projector MLP on pooled embeddings, then row-wise L2 normalization
+    onto the unit sphere."""
     return ad.l2_normalize(mlp_forward(x, lift_params(params, None)))
 
 

@@ -107,6 +107,12 @@ def gumbel_top_k(weights: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     return np.sort(np.argpartition(keys, -k)[-k:])
 
 
+def top_k_nodes(scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` highest of the flat ``scores``, highest first,
+    ties broken toward the lower node index."""
+    return np.lexsort((np.arange(scores.size), -scores))[:k]
+
+
 def rationale_from_kept(g: Graph, scores: AttributionScores, kept: np.ndarray) -> View:
     """Assemble a rationale view for an already-chosen node set.
 
@@ -165,7 +171,7 @@ def export_rationales(
     """Per-graph scores for external tools: probabilities and a top-k set.
 
     k is the planted-mask size when the graph has one, else the rationale
-    view size for ``rho``. Ties break toward the lower node index.
+    view size for ``rho``; the top-k set is :func:`top_k_nodes`'s.
     """
     out = []
     for i, g in enumerate(dataset):
@@ -174,12 +180,11 @@ def export_rationales(
             k = max(1, int(g.rationale_mask.sum()))
         else:
             k = view_size(g.num_nodes, rho)
-        order = np.lexsort((np.arange(g.num_nodes), -probs))
         out.append(
             {
                 "graph_index": i,
                 "probs": [float(p) for p in probs],
-                "topk": sorted(int(v) for v in order[:k]),
+                "topk": sorted(int(v) for v in top_k_nodes(probs, k)),
             }
         )
     return out

@@ -29,20 +29,17 @@ from .autodiff import NumericError
 from .encoder import (
     EncoderConfig,
     EncoderParams,
+    MlpParams,
     PassCounter,
     encode_graph,
+    init_mlp,
     init_params,
 )
-from .graphs import Graph, GraphDataset, batch_graphs, check_field_types
-from .graphs import read_json_object, require_int, require_object, write_text_atomic
-from .losses import (
-    BatchViews,
-    LossReport,
-    ProjectorParams,
-    init_projector_params,
-    project,
-    rgcl_loss,
+from .graphs import (
+    Graph, GraphDataset, batch_graphs, check_field_types, make_dirs, read_json_object,
+    require_int, require_object, write_text_atomic,
 )
+from .losses import BatchViews, LossReport, project, rgcl_loss
 from .params import assign_arrays, lift_params, named_arrays, named_leaves
 from .rationale import (
     AttributionScores,
@@ -165,7 +162,7 @@ class ModelParams:
 
     encoder: EncoderParams
     generator: EncoderParams
-    projector: ProjectorParams
+    projector: MlpParams
 
 
 @dataclass
@@ -195,9 +192,9 @@ def init_train_state(config: TrainConfig, input_dim: int) -> TrainState:
     params = ModelParams(
         encoder=init_params(config.encoder_config(), input_dim, int(seeds[0])),
         generator=init_params(config.generator_config(), input_dim, int(seeds[1])),
-        projector=init_projector_params(
+        projector=init_mlp(
+            np.random.default_rng(int(seeds[2])),
             config.encoder_dims[-1], config.projector_hidden, config.projector_dim,
-            int(seeds[2]),
         ),
     )
     flat = named_arrays(params)
@@ -282,7 +279,7 @@ def encode_views(
     selections: list[FrozenSelection],
     encoder: EncoderParams,
     generator: EncoderParams,
-    projector: ProjectorParams,
+    projector: MlpParams,
     config: TrainConfig,
     variant: str = "full",
     counter: PassCounter | None = None,
@@ -323,7 +320,7 @@ def batch_views_loss(
     selections: list[FrozenSelection],
     encoder: EncoderParams,
     generator: EncoderParams,
-    projector: ProjectorParams,
+    projector: MlpParams,
     config: TrainConfig,
     variant: str = "full",
     counter: PassCounter | None = None,
@@ -406,7 +403,7 @@ def pretrain(
     writer = None
     if output_dir is not None:
         out = Path(output_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        make_dirs(out)
         metrics = out / "metrics.jsonl"
         if state.step > 0:
             _cut_metrics(metrics, state.step)

@@ -532,3 +532,18 @@ class TestOutputPaths:
         err = capsys.readouterr().err
         assert str(out) in err and "Traceback" not in err
         assert (tmp / "afile").read_text() == "kept"
+
+    @pytest.mark.parametrize("output_dir", ["afile", "afile/run"])
+    def test_pretrain_output_dir_at_or_under_a_regular_file_exits_2(
+        self, workspace, capsys, output_dir
+    ):
+        tmp, config_path, _ = workspace
+        (tmp / "afile").write_text("kept")
+        config = json.loads((tmp / "config.json").read_text())
+        config["output_dir"] = str(tmp / output_dir)
+        write_json(tmp / "config.json", config)
+        capsys.readouterr()
+        assert main(["pretrain", "--config", config_path]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp / output_dir) in err and "Traceback" not in err
+        assert (tmp / "afile").read_text() == "kept"

@@ -13,11 +13,11 @@ from oracles import (
     max_rel_err,
     sufficiency_loss_mp,
 )
+from rgcl.encoder import init_mlp
 from rgcl.losses import (
     BatchViews,
     independence_logits,
     independence_loss,
-    init_projector_params,
     other_rationales,
     project,
     rgcl_loss,
@@ -292,7 +292,7 @@ class TestGradients:
 
 class TestProjector:
     def test_identity_weights_preserve_nonnegative_unit_row(self):
-        p = init_projector_params(3, 3, 3, seed=0)
+        p = init_mlp(np.random.default_rng(0), 3, 3, 3)
         p.w1 = np.eye(3)
         p.w2 = np.eye(3)
         row = np.array([[0.6, 0.8, 0.0]])
@@ -301,7 +301,7 @@ class TestProjector:
 
     def test_output_rows_are_unit(self):
         rng = np.random.default_rng(2)
-        raw = init_projector_params(5, 4, 3, seed=1)
+        raw = init_mlp(np.random.default_rng(1), 5, 4, 3)
         raw.b1 += 1.0  # keep hidden rows from collapsing to exact zero
         p = lift_params(raw, None)
         out = project(ad.const(rng.standard_normal((7, 5))), p)
@@ -310,8 +310,8 @@ class TestProjector:
         )
 
     def test_init_deterministic(self):
-        a = named_arrays(init_projector_params(4, 3, 2, seed=5))
-        b = named_arrays(init_projector_params(4, 3, 2, seed=5))
+        a = named_arrays(init_mlp(np.random.default_rng(5), 4, 3, 2))
+        b = named_arrays(init_mlp(np.random.default_rng(5), 4, 3, 2))
         assert all(np.array_equal(a[k], b[k]) for k in a)
 
 

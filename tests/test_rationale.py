@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import rgcl.autodiff as ad
-from oracles import finite_difference, inclusion_probabilities, max_rel_err
+from oracles import finite_difference, inclusion_probabilities, max_rel_err, topk_by_score
 from rgcl.encoder import EncoderConfig, init_params
 from rgcl.graphs import Graph, canonical_edges
 from rgcl.params import lift_params, named_arrays, named_leaves
@@ -17,6 +17,7 @@ from rgcl.rationale import (
     gumbel_top_k,
     sample_complement,
     sample_rationale,
+    top_k_nodes,
     uniform_scores,
     view_size,
 )
@@ -238,6 +239,19 @@ class TestGradientPath:
             assert max_rel_err(store[leaf], num) < 1e-4, name
             total_norm += float((store[leaf] ** 2).sum())
         assert total_norm > 0.0
+
+
+class TestTopKNodes:
+    def test_matches_the_oracle_with_ties(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            scores = rng.integers(0, 4, size=n) / 4.0  # coarse values, many ties
+            k = int(rng.integers(1, n + 1))
+            top = top_k_nodes(scores, k)
+            assert sorted(top.tolist()) == topk_by_score(scores.tolist(), k)
+            # ranked: highest score first, ties in index order
+            assert all((-scores[a], a) < (-scores[b], b) for a, b in zip(top, top[1:]))
 
 
 class TestExport:

@@ -178,6 +178,50 @@ class TestTrainConfig:
             normalize_variant("no_such_thing")
 
 
+class TestInitialisation:
+    @staticmethod
+    def glorot_draw(rng, fan_in, fan_out):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_arrays_follow_the_documented_draw_order(self, seed):
+        """Encoder, generator and projector each draw from their own child
+        seed: per layer w1 then w2 (GIN) or w (GCN), the scorer head after the
+        layers; biases and GIN epsilons start at zero. The names and their
+        order are the checkpoint's."""
+        cfg = TrainConfig(seed=seed)
+        assert (cfg.encoder_gnn, cfg.generator_gnn) == ("gin", "gcn")
+        input_dim = 5
+        seeds = np.random.SeedSequence(seed).generate_state(4)
+        expected = {}
+
+        def mlp(prefix, rng, d_in, hidden, d_out):
+            expected[f"{prefix}.w1"] = self.glorot_draw(rng, d_in, hidden)
+            expected[f"{prefix}.b1"] = np.zeros(hidden)
+            expected[f"{prefix}.w2"] = self.glorot_draw(rng, hidden, d_out)
+            expected[f"{prefix}.b2"] = np.zeros(d_out)
+
+        rng, d = np.random.default_rng(int(seeds[0])), input_dim
+        for i, width in enumerate(cfg.encoder_dims):
+            mlp(f"encoder.layers.{i}", rng, d, width, width)
+            expected[f"encoder.layers.{i}.eps"] = np.zeros(())
+            d = width
+        rng, d = np.random.default_rng(int(seeds[1])), input_dim
+        for i, width in enumerate(cfg.generator_dims):
+            expected[f"generator.layers.{i}.w"] = self.glorot_draw(rng, d, width)
+            expected[f"generator.layers.{i}.b"] = np.zeros(width)
+            d = width
+        mlp("generator.head", rng, d, *cfg.generator_head)
+        mlp("projector", np.random.default_rng(int(seeds[2])),
+            cfg.encoder_dims[-1], cfg.projector_hidden, cfg.projector_dim)
+
+        arrays = named_arrays(init_train_state(cfg, input_dim).params)
+        assert list(arrays) == list(expected)
+        for name, values in expected.items():
+            np.testing.assert_array_equal(arrays[name], values, err_msg=name)
+
+
 class TestTrainStep:
     def test_step_updates_counters_and_history(self, small_dataset):
         cfg = tiny_config()

@@ -54,6 +54,11 @@ class ProbeResult:
     train_class_counts: dict[int, int]
     test_class_counts: dict[int, int]
     iterations: int
+    grad_norm: float  # the gradient norm the stopping test last read
+
+    @property
+    def converged(self) -> bool:
+        return self.grad_norm < PROBE_STOP_NORM
 
     def to_dict(self) -> dict:
         return {
@@ -62,7 +67,23 @@ class ProbeResult:
             "train_class_counts": {str(k): v for k, v in self.train_class_counts.items()},
             "test_class_counts": {str(k): v for k, v in self.test_class_counts.items()},
             "iterations": self.iterations,
+            "grad_norm": self.grad_norm,
+            "converged": self.converged,
         }
+
+
+def _class_indices(labels) -> np.ndarray:
+    """``labels`` as int64 class indices; negative or fractional labels raise."""
+    y = np.asarray(labels)
+    if y.dtype.kind not in "biuf":
+        raise ValueError(f"labels must be integer class indices, got dtype {y.dtype}")
+    if y.dtype.kind == "f":
+        fractional = ~(np.isfinite(y) & (y == np.trunc(y)))
+        if fractional.any():
+            raise ValueError(f"labels must be integer class indices, got {y[fractional][0]}")
+    if (y < 0).any():
+        raise ValueError(f"labels must be non-negative class indices, got {y.min()}")
+    return y.astype(np.int64)
 
 
 def _class_counts(y: np.ndarray, num_classes: int) -> dict[int, int]:
@@ -84,10 +105,12 @@ def linear_probe(
     cross-entropy, plus the ridge term), run until the gradient norm drops
     below ``PROBE_STOP_NORM`` or ``PROBE_MAX_ITERS`` is hit. The L2 penalty applies to
     the weights only, not the intercept. Everything is deterministic given
-    ``split_seed``.
+    ``split_seed``. The result records the last gradient norm the stopping
+    test read, and so whether the fit converged. Labels must be
+    non-negative integer class indices.
     """
     x = np.asarray(embeddings, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
+    y = _class_indices(labels)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ValueError(f"embeddings {x.shape} do not match labels {y.shape}")
     if not np.isfinite(x).all():
@@ -112,14 +135,24 @@ def linear_probe(
     w = np.zeros((x.shape[1] + 1, num_classes))
     ridge_mask = np.ones_like(w)
     ridge_mask[-1] = 0.0  # leave the intercept unpenalized
-    iterations = 0
+    ridge = l2 * ridge_mask
+    # Row max as a running np.maximum over the few class columns: a max is
+    # exact, so this equals logits.max(axis=1) bit for bit, and it skips a
+    # reduce along a short axis that costs more than the rest of the softmax.
+    row_max = np.empty((len(tr), 1))
+    iterations, grad_norm = 0, np.inf
     for iterations in range(1, PROBE_MAX_ITERS + 1):
         logits = xt @ w
-        logits -= logits.max(axis=1, keepdims=True)
+        np.maximum(logits[:, :1], logits[:, 1:2], out=row_max)
+        for c in range(2, num_classes):
+            np.maximum(row_max, logits[:, c:c + 1], out=row_max)
+        logits -= row_max
         p = np.exp(logits)
         p /= p.sum(axis=1, keepdims=True)
-        grad = xt.T @ (p - onehot) / len(tr) + l2 * (w * ridge_mask)
-        if np.linalg.norm(grad) < PROBE_STOP_NORM:
+        grad = xt.T @ (p - onehot) / len(tr) + ridge * w
+        flat = grad.ravel()
+        grad_norm = np.sqrt(flat.dot(flat))  # what np.linalg.norm computes
+        if grad_norm < PROBE_STOP_NORM:
             break
         w -= step * grad
 
@@ -130,6 +163,7 @@ def linear_probe(
         train_class_counts=_class_counts(y[tr], num_classes),
         test_class_counts=_class_counts(y[te], num_classes),
         iterations=iterations,
+        grad_norm=float(grad_norm),
     )
 
 

@@ -174,6 +174,117 @@ def independence_loss_mp(r1, r2, c, n: int, tau: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# linear probe: the plain gradient-descent loop and a Newton solver
+
+
+def linear_probe_reference(
+    embeddings, labels, split_seed=0, train_fraction=0.8, l2=1e-4,
+    max_iters=5000, stop_norm=1e-6,
+) -> dict:
+    """``rgcl.evaluation.linear_probe`` written with a reduce for the row max,
+    ``l2 * (w * ridge_mask)`` and ``np.linalg.norm``: the loop the package's
+    tuned one must match bit for bit. Returns the probe's fields as a dict,
+    ``grad_norm`` being the last norm the stopping test read."""
+    x = np.asarray(embeddings, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    m = x.shape[0]
+    n_train = int(round(train_fraction * m))
+    perm = np.random.default_rng(split_seed).permutation(m)
+    tr, te = perm[:n_train], perm[n_train:]
+    num_classes = int(y.max()) + 1
+    xa = np.hstack([x, np.ones((m, 1))])
+    onehot = np.eye(num_classes)[y[tr]]
+    xt = xa[tr]
+    lipschitz = np.linalg.norm(xt, 2) ** 2 / (2.0 * len(tr)) + l2
+    step = 1.0 / lipschitz
+    w = np.zeros((x.shape[1] + 1, num_classes))
+    ridge_mask = np.ones_like(w)
+    ridge_mask[-1] = 0.0
+    for iterations in range(1, max_iters + 1):
+        logits = xt @ w
+        logits -= logits.max(axis=1, keepdims=True)
+        p = np.exp(logits)
+        p /= p.sum(axis=1, keepdims=True)
+        grad = xt.T @ (p - onehot) / len(tr) + l2 * (w * ridge_mask)
+        grad_norm = np.linalg.norm(grad)
+        if grad_norm < stop_norm:
+            break
+        w -= step * grad
+
+    def counts(labels_):
+        return {c: int(np.sum(labels_ == c)) for c in range(num_classes)}
+
+    pred = (xa @ w).argmax(axis=1)
+    return {
+        "train_accuracy": float((pred[tr] == y[tr]).mean()),
+        "test_accuracy": float((pred[te] == y[te]).mean()),
+        "train_class_counts": counts(y[tr]),
+        "test_class_counts": counts(y[te]),
+        "iterations": iterations,
+        "grad_norm": float(grad_norm),
+    }
+
+
+def probe_objective(w, x, y, l2):
+    """Mean softmax cross-entropy of ``[x, 1] @ w`` plus ``l2 / 2`` times the
+    squared weights (intercept row unpenalised), with its gradient."""
+    xa = np.hstack([x, np.ones((x.shape[0], 1))])
+    onehot = np.eye(w.shape[1])[y]
+    mask = np.ones_like(w)
+    mask[-1] = 0.0
+    logits = xa @ w
+    shift = logits.max(axis=1, keepdims=True)
+    log_z = shift[:, 0] + np.log(np.exp(logits - shift).sum(axis=1))
+    p = np.exp(logits - log_z[:, None])
+    value = float(np.mean(log_z - logits[np.arange(len(y)), y]))
+    value += 0.5 * l2 * float(np.sum((w * mask) ** 2))
+    grad = xa.T @ (p - onehot) / len(y) + l2 * w * mask
+    return value, grad
+
+
+def newton_probe(x, y, num_classes, l2, tol=1e-10, max_iters=100):
+    """Minimise :func:`probe_objective` by damped Newton steps.
+
+    The Hessian is assembled entry by entry from the per-row softmax
+    covariances. Shifting every intercept by one constant leaves the
+    objective unchanged, so the Hessian is singular along that direction;
+    the step is the least-squares solution, which the gradient (orthogonal
+    to that direction) permits. Returns (weights, gradient norm, iterations).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    xa = np.hstack([x, np.ones((x.shape[0], 1))])
+    d, c = xa.shape[1], num_classes
+    mask = np.ones((d, c))
+    mask[-1] = 0.0
+    w = np.zeros((d, c))
+    value, grad = probe_objective(w, x, y, l2)
+    for it in range(max_iters + 1):
+        norm = float(np.linalg.norm(grad))
+        if norm < tol or it == max_iters:
+            return w, norm, it
+        logits = xa @ w
+        p = np.exp(logits - logits.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        cov = np.einsum("ik,kl->ikl", p, np.eye(c)) - np.einsum("ik,il->ikl", p, p)
+        hess = np.einsum("ia,ib,ikl->akbl", xa, xa, cov) / len(y)
+        hess += l2 * np.einsum("ak,ab,kl->akbl", mask, np.eye(d), np.eye(c))
+        hess = hess.reshape(d * c, d * c)
+        direction = -np.linalg.lstsq(hess, grad.reshape(-1), rcond=None)[0].reshape(d, c)
+        # Backtracking (Armijo) line search. Near the optimum the decrease
+        # falls below the objective's rounding, so a step that shrinks the
+        # gradient is taken as well.
+        t = 1.0
+        while True:
+            new_value, new_grad = probe_objective(w + t * direction, x, y, l2)
+            if (new_value <= value + 1e-4 * t * float(np.sum(grad * direction))
+                    or np.linalg.norm(new_grad) < norm or t < 1e-12):
+                break
+            t *= 0.5
+        w, value, grad = w + t * direction, new_value, new_grad
+
+
+# ---------------------------------------------------------------------------
 # misc small references
 
 

@@ -8,7 +8,7 @@ import pytest
 
 import rgcl.graphs as rgcl_graphs
 from rgcl.cli import main
-from rgcl.evaluation import view_similarities
+from rgcl.evaluation import PROBE_STOP_NORM, view_similarities
 from rgcl.graphs import load_dataset_json
 from rgcl.training import load_checkpoint
 
@@ -99,6 +99,8 @@ class TestPipeline:
         results = json.loads((tmp / "run" / "results.json").read_text())
         assert set(results) >= {"variant", "seed", "probe", "rationale"}
         assert 0.0 <= results["probe"]["test_accuracy"] <= 1.0
+        probe = results["probe"]
+        assert probe["converged"] is (probe["grad_norm"] < PROBE_STOP_NORM)
         assert results["rationale"] is not None
         out = capsys.readouterr().out
         assert "probe test acc" in out

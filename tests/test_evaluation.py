@@ -6,10 +6,19 @@ import numpy as np
 import pytest
 
 import rgcl.autodiff as ad
-from oracles import topk_by_score
+from oracles import (
+    finite_difference,
+    linear_probe_reference,
+    max_rel_err,
+    newton_probe,
+    probe_objective,
+    topk_by_score,
+)
 from rgcl.datasets import PlantedMotifSpec, generate_planted_motif_dataset
 from rgcl.encoder import EncoderConfig, encode_graph, init_params
 from rgcl.evaluation import (
+    PROBE_MAX_ITERS,
+    PROBE_STOP_NORM,
     embed_graphs,
     linear_probe,
     precision_at_k,
@@ -158,9 +167,70 @@ class TestLinearProbe:
         x[:, 1] += np.where(y == 0, -3.0, 3.0)
         capped = linear_probe(x, y, split_seed=0)
         assert capped.iterations == 5000 and capped.test_accuracy == 1.0
+        assert capped.converged is False
+        assert capped.grad_norm >= PROBE_STOP_NORM
         res = linear_probe(x, y, split_seed=0, l2=0.1)
         assert res.iterations < 5000
         assert res.test_accuracy == 1.0
+        assert res.converged is True
+        assert res.grad_norm < PROBE_STOP_NORM
+
+    @pytest.mark.parametrize("num_classes", [2, 3, 5, 9])
+    @pytest.mark.parametrize("l2", [1e-4, 0.1])
+    def test_matches_the_plain_loop_bit_for_bit(self, num_classes, l2):
+        """Every field, the last gradient norm included, equals that of the
+        loop written with a reduce for the row max and ``np.linalg.norm``.
+        Embeddings are small integers, and with five or more classes
+        classes 2 and 3 have no graphs, so their weight columns stay equal
+        and every row carries a tied pair of logits for the whole run."""
+        rng = np.random.default_rng(num_classes)
+        x = rng.integers(-3, 4, size=(80, 4)).astype(np.float64)
+        present = [c for c in range(num_classes) if num_classes < 5 or c not in (2, 3)]
+        y = np.asarray(present)[np.argmax(x @ rng.normal(size=(4, len(present))), axis=1)]
+        res = linear_probe(x, y, split_seed=0, l2=l2)
+        assert dataclasses.asdict(res) == linear_probe_reference(x, y, split_seed=0, l2=l2)
+        # the cases cover both stops: the cap, and the gradient tolerance
+        assert res.converged is ((num_classes, l2) in {(2, 0.1), (3, 0.1)})
+        assert res.converged is (res.iterations < PROBE_MAX_ITERS)
+
+    def test_newton_oracle_reaches_the_stopping_tolerance(self):
+        """Newton's method on the probe's objective (cross-entropy plus
+        ridge on the weights, intercept free) converges where gradient
+        descent hits its cap, and agrees with gradient descent where that
+        converges."""
+        rng = np.random.default_rng(3)
+        y = np.repeat([0, 1], 20)
+        x = rng.normal(scale=0.05, size=(40, 2))
+        x[:, 1] += np.where(y == 0, -3.0, 3.0)
+        w0 = rng.normal(size=(3, 2))
+        numeric = finite_difference(lambda: probe_objective(w0, x, y, 0.1)[0], [w0])[0]
+        assert max_rel_err(probe_objective(w0, x, y, 0.1)[1], numeric) < 1e-6
+
+        perm = np.random.default_rng(0).permutation(40)
+        tr, te = perm[:32], perm[32:]
+        xa = np.hstack([x, np.ones((40, 1))])
+        fits = {l2: newton_probe(x[tr], y[tr], 2, l2) for l2 in (1e-4, 0.1)}
+        for _, norm, iterations in fits.values():
+            assert norm < PROBE_STOP_NORM and iterations < 100
+        probe = linear_probe(x, y, split_seed=0, l2=0.1)
+        assert probe.converged
+        pred = (xa @ fits[0.1][0]).argmax(axis=1)
+        assert float((pred[tr] == y[tr]).mean()) == probe.train_accuracy
+        assert float((pred[te] == y[te]).mean()) == probe.test_accuracy
+
+    def test_negative_label_rejected(self):
+        x = np.random.default_rng(0).normal(size=(20, 2))
+        y = np.tile([0, 1], 10)
+        y[3] = -1
+        with pytest.raises(ValueError, match="non-negative class indices, got -1"):
+            linear_probe(x, y)
+
+    def test_fractional_label_rejected(self):
+        x = np.random.default_rng(0).normal(size=(20, 2))
+        y = np.tile([0.0, 1.0], 10)
+        y[3] = 1.7
+        with pytest.raises(ValueError, match="integer class indices, got 1.7"):
+            linear_probe(x, y)
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -18,6 +18,9 @@ It covers:
 * the same four artifacts for a ``swapped`` run: variant ``full`` with a GCN
   encoder, a GIN generator and mean pooling, so that each message-passing
   layer type runs both as the encoder and as the scorer, on the tape;
+* each cell's ``results.json`` and the ``sweep.csv`` of a one-cell
+  ``rgcl sweep`` (grid ``{"seeds": [1]}``) on the same 200 graphs, which
+  runs ``evaluation.run_ablation``;
 * the dataset hash of each seeded random TU directory that
   ``tests/oracles.py::write_random_tu`` writes (seeds 0-29).
 
@@ -88,6 +91,15 @@ def fingerprint(tmp: Path) -> list[str]:
              "--out", str(export)])
         for artifact in ("metrics.jsonl", "ckpt_final.json", "results.json", "rationale.json"):
             lines.append(f"{name}/{artifact} {digest(out / artifact)}")
+    out = tmp / "sweep"
+    config = TrainConfig(seed=1, epochs=2).to_dict()
+    config.update(dataset={"json": str(data)}, output_dir=str(out))
+    (tmp / "sweep.json").write_text(json.dumps(config))
+    (tmp / "grid.json").write_text(json.dumps({"seeds": [1]}))
+    run(["sweep", "--config", str(tmp / "sweep.json"), "--grid", str(tmp / "grid.json")])
+    for cell in sorted(out.glob("*/results.json")):
+        lines.append(f"sweep/{cell.parent.name}/results.json {digest(cell)}")
+    lines.append(f"sweep/sweep.csv {digest(out / 'sweep.csv')}")
     for seed in TU_SEEDS:
         directory = tmp / "tu" / str(seed)
         write_random_tu(directory, seed)

@@ -11,24 +11,18 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import json
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
+from typing import Callable
 
 from .autodiff import NumericError
 from .datasets import PlantedMotifSpec, generate_planted_motif_dataset, load_tu_dataset
-from .evaluation import (
-    rationale_precision,
-    run_ablation,
-    linear_probe,
-    embed_graphs,
-    view_similarities,
-)
+from .evaluation import read_out, run_ablation, view_similarities
 from .graphs import (
     GraphDataset, GraphFormatError, dataset_hash, load_dataset_json, read_json_object,
     require_int, save_dataset_json, write_text_atomic,
@@ -64,8 +58,35 @@ def _spec_from_dict(d: dict) -> PlantedMotifSpec:
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     train: TrainConfig
-    dataset_source: dict
+    load_dataset: Callable[[], GraphDataset]  # the checked "dataset" entry's loader
     output_dir: Path
+
+
+def _path_string(field: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{field} must be a path string, got {value!r}")
+    return value
+
+
+def _dataset_loader(source) -> Callable[[], GraphDataset]:
+    """Check the "dataset" entry and bind the loader of its one source: the
+    TU or JSON reader to its path, or the generator to its spec and count."""
+    if not (isinstance(source, dict) and len(source) == 1 and set(source) <= set(DATASET_SOURCES)):
+        raise ConfigError(f'"dataset" must name one source of {DATASET_SOURCES}, got {source!r}')
+    [(kind, value)] = source.items()
+    if kind != "synthetic":
+        reader = load_tu_dataset if kind == "tu" else load_dataset_json
+        return functools.partial(reader, _path_string(f"dataset.{kind}", value))
+    if not isinstance(value, dict) or "count" not in value:
+        raise ConfigError('synthetic source needs {"spec": {...}, "count": M}')
+    spec = _spec_from_dict(value.get("spec", {}))
+    try:
+        count = require_int("count", value["count"])
+    except ValueError as exc:
+        raise ConfigError(f"synthetic {exc}") from exc
+    if count < 1:
+        raise ConfigError("synthetic count must be >= 1")
+    return functools.partial(generate_planted_motif_dataset, spec, count)
 
 
 def load_run_config(path) -> RunConfig:
@@ -79,18 +100,10 @@ def load_run_config(path) -> RunConfig:
     payload = read_json_object(path, ConfigError, "config")
     if "dataset" not in payload:
         raise ConfigError('config needs a "dataset" entry')
-    source = payload.pop("dataset")
-    if not isinstance(source, dict) or sorted(set(source) & set(DATASET_SOURCES)) == []:
-        raise ConfigError(f'"dataset" must name one source of {DATASET_SOURCES}')
-    picked = set(source) & set(DATASET_SOURCES)
-    if len(picked) != 1:
-        raise ConfigError(f'"dataset" must name exactly one source, got {sorted(picked)}')
-    extra = set(source) - set(DATASET_SOURCES)
-    if extra:
-        raise ConfigError(f"unknown dataset keys: {sorted(extra)}")
+    load_dataset = _dataset_loader(payload.pop("dataset"))
     if "output_dir" not in payload:
         raise ConfigError('config needs an "output_dir" entry')
-    output_dir = Path(payload.pop("output_dir"))
+    output_dir = Path(_path_string("output_dir", payload.pop("output_dir")))
 
     if "lambda" in payload:
         payload["lam"] = payload.pop("lambda")
@@ -104,29 +117,7 @@ def load_run_config(path) -> RunConfig:
         train = TrainConfig.from_dict(payload)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-
-    if "synthetic" in source:
-        synth = source["synthetic"]
-        if not isinstance(synth, dict) or "count" not in synth:
-            raise ConfigError('synthetic source needs {"spec": {...}, "count": M}')
-        _spec_from_dict(synth.get("spec", {}))  # validate eagerly
-        try:
-            count = require_int("count", synth["count"])
-        except ValueError as exc:
-            raise ConfigError(f"synthetic {exc}") from exc
-        if count < 1:
-            raise ConfigError("synthetic count must be >= 1")
-    return RunConfig(train=train, dataset_source=source, output_dir=output_dir)
-
-
-def load_dataset_from_source(source: dict) -> GraphDataset:
-    if "tu" in source:
-        return load_tu_dataset(source["tu"])
-    if "json" in source:
-        return load_dataset_json(source["json"])
-    synth = source["synthetic"]
-    spec = _spec_from_dict(synth.get("spec", {}))
-    return generate_planted_motif_dataset(spec, synth["count"])
+    return RunConfig(train=train, load_dataset=load_dataset, output_dir=output_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +140,7 @@ def cmd_synth(args) -> int:
 def cmd_pretrain(args) -> int:
     run = load_run_config(args.config)
     variant = normalize_variant(args.variant)
-    dataset = load_dataset_from_source(run.dataset_source)
+    dataset = run.load_dataset()
     state = pretrain(dataset, run.train, output_dir=run.output_dir, variant=variant)
     final = state.loss_history[-1] if state.loss_history else float("nan")
     print(f"pretrained {variant}: {state.step} steps, final loss {final:.6f}")
@@ -166,28 +157,22 @@ def cmd_eval(args) -> int:
     run = load_run_config(args.config)
     variant = normalize_variant(args.variant)
     state, config = load_checkpoint(args.checkpoint, expected_config=run.train)
-    dataset = load_dataset_from_source(run.dataset_source)
-    labels = dataset.labels()
-    emb = embed_graphs(dataset, state.encoder, config.encoder_config())
-    if not np.isfinite(emb).all():
-        raise NumericError("checkpoint produces non-finite embeddings")
-    probe = linear_probe(emb, labels, split_seed=config.seed)
+    dataset = run.load_dataset()
+    probe, rationale = read_out(dataset, state, config)
     result = {
         "variant": variant,
         "seed": config.seed,
         "probe": probe.to_dict(),
-        "rationale": None,
+        "rationale": None if rationale is None else rationale.to_dict(),
     }
     rows = [
         ("variant", variant),
         ("probe train acc", f"{probe.train_accuracy:.4f}"),
         ("probe test acc", f"{probe.test_accuracy:.4f}"),
     ]
-    if all(g.rationale_mask is not None for g in dataset.graphs):
-        score = rationale_precision(dataset, state.generator, config.generator_config())
-        result["rationale"] = score.to_dict()
-        rows.append(("rationale precision", f"{score.mean_precision:.4f}"))
-        rows.append(("random baseline", f"{score.random_baseline:.4f}"))
+    if rationale is not None:
+        rows.append(("rationale precision", f"{rationale.mean_precision:.4f}"))
+        rows.append(("random baseline", f"{rationale.random_baseline:.4f}"))
     if variant != "no_independence":
         pos, comp = view_similarities(
             dataset, state, config, sample_seed=config.seed, variant=variant
@@ -205,7 +190,7 @@ def cmd_eval(args) -> int:
 def cmd_rationale(args) -> int:
     state, config = load_checkpoint(args.checkpoint)
     src = Path(args.dataset)
-    dataset = load_dataset_from_source({"tu" if src.is_dir() else "json": src})
+    dataset = (load_tu_dataset if src.is_dir() else load_dataset_json)(src)
     records = export_rationales(
         dataset, state.generator, config.generator_config(), rho=config.rho
     )
@@ -235,7 +220,7 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"grid cell tau={tau} lambda={lam} rho={rho}: {exc}") from exc
         cells.append((tau, lam, rho, seed, cell_cfg))
 
-    dataset = load_dataset_from_source(run.dataset_source)
+    dataset = run.load_dataset()
     dataset.labels()  # unlabeled data fails here, before the first cell trains
     rows = []
     for tau, lam, rho, seed, cell_cfg in cells:

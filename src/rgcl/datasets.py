@@ -214,12 +214,12 @@ def generate_planted_motif_dataset(spec: PlantedMotifSpec, count: int) -> GraphD
     for i in range(count):
         label = i % spec.num_classes
         n = int(rng.integers(lo, hi + 1))
-        edges = list(_motif_edges(label, k))
-        # background wiring among nodes k..n-1
-        for u in range(k, n):
-            for v in range(u + 1, n):
-                if rng.random() < spec.edge_prob_background:
-                    edges.append((u, v))
+        edges = _motif_edges(label, k)
+        # background wiring among nodes k..n-1: one draw per pair, in the
+        # row-major pair order of a (u, v > u) double loop
+        u, v = np.triu_indices(n - k, 1)
+        wired = rng.random(u.size) < spec.edge_prob_background
+        edges += zip((u[wired] + k).tolist(), (v[wired] + k).tolist())
         # attach the motif so the graph is not trivially split
         if n > k:
             edges.append((int(rng.integers(0, k)), int(rng.integers(k, n))))

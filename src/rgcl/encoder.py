@@ -166,7 +166,6 @@ def encode_graph(
     params: EncoderParams,
     config: EncoderConfig,
     attribution: Tensor | None = None,
-    counter: PassCounter | None = None,
 ) -> Tensor:
     """Per-graph embeddings [num_graphs, d].
 
@@ -183,7 +182,4 @@ def encode_graph(
             )
         h = ad.mul(h, attribution)
     pool = ad.segment_sum if config.pooling == "add" else ad.segment_mean
-    out = pool(h, batch.graph_id, batch.num_graphs)
-    if counter is not None:
-        counter.add(batch.num_graphs)
-    return out
+    return pool(h, batch.graph_id, batch.num_graphs)

@@ -11,7 +11,8 @@ discarded. Representation quality is read out three ways:
 * the geometry of sampled views — how close the two rationale projections
   sit compared to the rationale/complement pair.
 
-``run_ablation`` ties these together for the three training variants.
+``read_out`` gives the first two for a trained state; ``run_ablation`` ties
+it to pre-training for the three training variants.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import NumericError
 from .encoder import EncoderConfig, EncoderParams, encode_graph
 from .graphs import GraphDataset, batch_graphs
 from .rationale import attribute_nodes, top_k_nodes
@@ -269,6 +271,22 @@ def random_init_probe(dataset: GraphDataset, config: TrainConfig) -> ProbeResult
     return linear_probe(emb, dataset.labels(), split_seed=config.seed)
 
 
+def read_out(
+    dataset: GraphDataset, state: TrainState, config: TrainConfig
+) -> tuple[ProbeResult, RationaleScore | None]:
+    """The linear probe on the state's embeddings, then rationale precision
+    when every graph has a ground-truth mask (else None). Non-finite
+    embeddings raise ``NumericError``."""
+    emb = embed_graphs(dataset, state.encoder, config.encoder_config())
+    if not np.isfinite(emb).all():
+        raise NumericError("the encoder produces non-finite embeddings")
+    probe = linear_probe(emb, dataset.labels(), split_seed=config.seed)
+    rationale = None
+    if all(g.rationale_mask is not None for g in dataset.graphs):
+        rationale = rationale_precision(dataset, state.generator, config.generator_config())
+    return probe, rationale
+
+
 def run_ablation(
     variant: str,
     dataset: GraphDataset,
@@ -284,13 +302,7 @@ def run_ablation(
     """
     variant = normalize_variant(variant)
     state = pretrain(dataset, config, output_dir=output_dir, variant=variant)
-    emb = embed_graphs(dataset, state.encoder, config.encoder_config())
-    probe = linear_probe(emb, dataset.labels(), split_seed=config.seed)
-    rationale = None
-    if all(g.rationale_mask is not None for g in dataset.graphs):
-        rationale = rationale_precision(
-            dataset, state.generator, config.generator_config()
-        )
+    probe, rationale = read_out(dataset, state, config)
     passes = (
         state.encoder_passes.graphs / state.anchors_seen if state.anchors_seen else 0.0
     )

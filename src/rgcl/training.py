@@ -282,7 +282,6 @@ def encode_views(
     projector: MlpParams,
     config: TrainConfig,
     variant: str = "full",
-    counter: PassCounter | None = None,
 ) -> BatchViews:
     """The differentiable view forward given frozen selections.
 
@@ -303,9 +302,7 @@ def encode_views(
     def tower(view_list):
         batch = batch_graphs([v.subgraph for v in view_list])
         attribution = ad.concat_rows([v.attribution for v in view_list])
-        pooled = encode_graph(
-            batch, encoder, enc_cfg, attribution=attribution, counter=counter
-        )
+        pooled = encode_graph(batch, encoder, enc_cfg, attribution=attribution)
         return project(pooled, projector)
 
     return BatchViews(
@@ -323,13 +320,10 @@ def batch_views_loss(
     projector: MlpParams,
     config: TrainConfig,
     variant: str = "full",
-    counter: PassCounter | None = None,
 ):
     """Phase B: ``encode_views`` plus the contrastive loss; returns
     ``(total, report, views)``."""
-    views = encode_views(
-        graphs, selections, encoder, generator, projector, config, variant, counter
-    )
+    views = encode_views(graphs, selections, encoder, generator, projector, config, variant)
     total, report = rgcl_loss(views, config.tau, config.lam)
     return total, report, views
 
@@ -348,12 +342,15 @@ def train_step(
     tape = ad.Tape()
     lifted = lift_params(state.params, tape)
     try:
-        total, report, _ = batch_views_loss(
+        total, report, views = batch_views_loss(
             graphs, selections, lifted.encoder, lifted.generator, lifted.projector,
-            config, variant, counter=state.encoder_passes,
+            config, variant,
         )
     except NumericError as exc:
         raise NumericError(f"step {state.step}: {exc}") from exc
+    # one encoder pass per projected view row: 3N, or 2N without the complement
+    rows = [t.shape[0] for t in (views.r1, views.r2, views.c) if t is not None]
+    state.encoder_passes.add(sum(rows))
     if not (
         np.isfinite(report.total) and np.isfinite(report.l_su) and np.isfinite(report.l_in)
     ):

@@ -326,6 +326,44 @@ def jitter_params(params, seed, scale=0.3):
 
 
 # ---------------------------------------------------------------------------
+# planted-motif generator
+
+
+def planted_motif_reference(spec, count: int):
+    """The planted-motif generator with its background wiring drawn pair by pair.
+
+    ``spec`` is a ``PlantedMotifSpec``. Returns one ``(features, edges, label,
+    mask)`` per graph, with the sorted distinct edges and every reverse added,
+    drawing from ``default_rng(spec.seed)`` in the generator's order: the node
+    count, one ``rng.random()`` per background pair (u < v, row by row), the
+    attachment edge, then the feature noise.
+    """
+    rng = np.random.default_rng(spec.seed)
+    lo, hi = spec.background_size_range
+    k = spec.motif_size
+    graphs = []
+    for i in range(count):
+        label = i % spec.num_classes
+        n = int(rng.integers(lo, hi + 1))
+        edges = [(j, (j + 1) % k) for j in range(k)]
+        if label > 0:
+            edges += [(j, (j + 1 + label) % k) for j in range(k) if (j + 1 + label) % k != j]
+        for u in range(k, n):
+            for v in range(u + 1, n):
+                if rng.random() < spec.edge_prob_background:
+                    edges.append((u, v))
+        if n > k:
+            edges.append((int(rng.integers(0, k)), int(rng.integers(k, n))))
+        features = rng.normal(0.0, spec.noise_std, size=(n, spec.feature_dim))
+        signature = np.zeros(spec.feature_dim)
+        signature[label % spec.feature_dim] = 1.0
+        features[:k] += signature
+        both = sorted(set(edges) | {(v, u) for u, v in edges})
+        graphs.append((features, both, label, [j < k for j in range(n)]))
+    return graphs
+
+
+# ---------------------------------------------------------------------------
 # TU-format directories
 
 

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import rgcl.evaluation
 import rgcl.graphs as rgcl_graphs
 from rgcl.cli import main
 from rgcl.evaluation import PROBE_STOP_NORM, view_similarities
@@ -199,6 +200,24 @@ class TestConfigErrors:
         bad = write_json(tmp / "bad.json", config)
         assert main(["pretrain", "--config", bad]) == 2
 
+    @pytest.mark.parametrize(
+        "entry, value, named",
+        [
+            ("output_dir", 5, "output_dir"),
+            ("dataset", {"json": 5}, "dataset.json"),
+            ("dataset", {"tu": None}, "dataset.tu"),
+        ],
+        ids=["output_dir-int", "json-int", "tu-null"],
+    )
+    def test_non_string_path_is_config_error(self, workspace, capsys, entry, value, named):
+        tmp, _, data_path = workspace
+        config = dict(CONFIG_CORE, dataset={"json": str(data_path)}, output_dir=str(tmp / "run"))
+        config[entry] = value
+        bad = write_json(tmp / "bad.json", config)
+        assert main(["pretrain", "--config", bad]) == 2
+        assert f"{named} must be a path string" in capsys.readouterr().err
+        assert not (tmp / "run").exists()
+
     def test_malformed_json_config(self, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text('{"batch_size": 4,')
@@ -261,6 +280,13 @@ class TestDataErrors:
         config["output_dir"] = str(tmp / "run")
         bad = write_json(tmp / "cfg.json", config)
         assert main(["pretrain", "--config", bad]) == 3
+
+    def test_tu_entry_naming_a_file_exits_3(self, workspace, capsys):
+        tmp, _, data_path = workspace
+        config = dict(CONFIG_CORE, dataset={"tu": str(data_path)}, output_dir=str(tmp / "run"))
+        bad = write_json(tmp / "cfg.json", config)
+        assert main(["pretrain", "--config", bad]) == 3
+        assert "not a directory" in capsys.readouterr().err
 
     def test_checkpoint_shape_mismatch(self, workspace):
         tmp, config_path, data_path = workspace
@@ -393,6 +419,20 @@ class TestNumericErrors:
         with np.errstate(invalid="ignore"):  # inf * 0 inside the forward
             assert main(["eval", "--config", config_path,
                          "--checkpoint", str(ckpt)]) == 4
+
+    def test_sweep_cell_with_non_finite_embeddings_exits_4(self, workspace, monkeypatch):
+        tmp, config_path, _ = workspace
+        pretrain = rgcl.evaluation.pretrain
+
+        def poisoned_pretrain(*args, **kwargs):
+            state = pretrain(*args, **kwargs)
+            state.encoder.layers[-1].w2[0, 0] = np.inf
+            return state
+
+        monkeypatch.setattr(rgcl.evaluation, "pretrain", poisoned_pretrain)
+        grid = write_json(tmp / "grid.json", {"tau": [0.1]})
+        with np.errstate(invalid="ignore"):
+            assert main(["sweep", "--config", config_path, "--grid", grid]) == 4
 
 
 class TestSweep:

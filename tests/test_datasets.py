@@ -6,14 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import tu_reference, write_random_tu
+from oracles import planted_motif_reference, tu_reference, write_random_tu
 from rgcl.datasets import (
     PlantedMotifSpec,
     _motif_edges,
     generate_planted_motif_dataset,
     load_tu_dataset,
 )
-from rgcl.graphs import GraphFormatError, dataset_hash
+from rgcl.graphs import Graph, GraphDataset, GraphFormatError, dataset_hash
 
 
 def write_tiny_tu(d: Path, name="TINY", node_labels=True, graph_labels=True):
@@ -211,3 +211,23 @@ class TestPlantedMotif:
             pairs = {tuple(e) for e in g.edges}
             assert all((v, u) in pairs for u, v in pairs)
             assert g.edges.max() < g.num_nodes
+
+    @pytest.mark.parametrize("fields", [
+        {"seed": 0}, {"seed": 1}, {"seed": 2}, {"seed": 3}, {"seed": 4},
+        {"edge_prob_background": 1.0, "num_classes": 3},
+        {"background_size_range": (5, 5), "motif_size": 5},
+        {"edge_prob_background": 0.0},
+    ])
+    def test_one_draw_wiring_matches_the_per_pair_loop(self, fields):
+        spec = PlantedMotifSpec(**fields)
+        reference = GraphDataset(
+            graphs=[
+                Graph(node_features=features, edges=np.array(edges).reshape(-1, 2),
+                      label=label, rationale_mask=np.array(mask))
+                for features, edges, label, mask in planted_motif_reference(spec, 60)
+            ],
+            feature_dim=spec.feature_dim,
+            num_classes=spec.num_classes,
+        )
+        ds = generate_planted_motif_dataset(spec, 60)
+        assert dataset_hash(ds) == dataset_hash(reference)

@@ -20,7 +20,6 @@ from rgcl.encoder import (
     EncoderParams,
     GcnLayerParams,
     GinLayerParams,
-    PassCounter,
     encode_graph,
     gcn_layer,
     gin_layer,
@@ -226,15 +225,6 @@ class TestEncodeGraph:
         with pytest.raises(ValueError, match="attribution shape"):
             encode_graph(batch_graphs([g]), p, self.CFG,
                          attribution=ad.const(np.ones((g.num_nodes + 1, 1))))
-
-    def test_pass_counter_counts_graphs(self):
-        rng = np.random.default_rng(5)
-        graphs = [random_graph(rng) for _ in range(3)]
-        p = init_params(self.CFG, 4, seed=0)
-        counter = PassCounter()
-        encode_graph(batch_graphs(graphs), p, self.CFG, counter=counter)
-        encode_graph(batch_graphs(graphs[:2]), p, self.CFG, counter=counter)
-        assert counter.graphs == 5
 
     def test_edgeless_graph_encodes(self):
         g = Graph(node_features=np.ones((3, 4)), edges=np.zeros((0, 2)))

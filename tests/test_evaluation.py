@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import rgcl.autodiff as ad
+import rgcl.evaluation
 from oracles import (
     finite_difference,
     linear_probe_reference,
@@ -24,6 +25,7 @@ from rgcl.evaluation import (
     precision_at_k,
     random_init_probe,
     rationale_precision,
+    read_out,
     run_ablation,
     view_similarities,
 )
@@ -342,6 +344,36 @@ class TestViewSimilarities:
         state = init_train_state(cfg, small_dataset.feature_dim)
         with pytest.raises(ValueError, match="complement"):
             view_similarities(small_dataset, state, cfg, variant="no_independence")
+
+
+def poison(state):
+    """``state`` with one infinite encoder weight."""
+    state.encoder.layers[-1].w2[0, 0] = np.inf
+    return state
+
+
+class TestReadOut:
+    def test_is_the_probe_then_the_precision(self, small_dataset):
+        cfg = tiny_config()
+        state = init_train_state(cfg, small_dataset.feature_dim)
+        probe, rationale = read_out(small_dataset, state, cfg)
+        emb = embed_graphs(small_dataset, state.encoder, cfg.encoder_config())
+        assert probe == linear_probe(emb, small_dataset.labels(), split_seed=cfg.seed)
+        expected = rationale_precision(small_dataset, state.generator, cfg.generator_config())
+        assert rationale.to_dict() == expected.to_dict()
+
+    def test_inf_encoder_weight_is_a_numeric_error(self, small_dataset):
+        cfg = tiny_config()
+        state = poison(init_train_state(cfg, small_dataset.feature_dim))
+        with np.errstate(invalid="ignore"), pytest.raises(ad.NumericError, match="non-finite"):
+            read_out(small_dataset, state, cfg)
+
+    def test_run_ablation_reports_a_non_finite_state_as_numeric(self, small_dataset, monkeypatch):
+        cfg = tiny_config()
+        state = poison(init_train_state(cfg, small_dataset.feature_dim))
+        monkeypatch.setattr(rgcl.evaluation, "pretrain", lambda *args, **kwargs: state)
+        with np.errstate(invalid="ignore"), pytest.raises(ad.NumericError):
+            run_ablation("full", small_dataset, cfg)
 
 
 class TestRunAblation:

@@ -234,6 +234,35 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     ])
 
 
+def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """``x @ w`` plus the length-d bias row ``b``, then a ReLU when ``relu``,
+    as one record.
+
+    The value and the three VJPs evaluate the expressions of the
+    ``matmul`` / ``add_bias`` / ``relu`` chain, so they equal it bit for bit.
+    """
+    if len(x.shape) != 2 or len(w.shape) != 2 or x.shape[1] != w.shape[0]:
+        raise ValueError(f"matmul shape mismatch: {x.shape} @ {w.shape}")
+    if b.shape != (w.shape[1],):
+        raise ValueError(f"add_bias shape mismatch: {(x.shape[0], w.shape[1])} + {b.shape}")
+    xv, wv = x.values, w.values
+    out = xv @ wv + b.values
+    mask = None
+    if relu:
+        mask = out > 0.0
+        out = np.maximum(out, 0.0)
+
+    def pre(g):
+        """The gradient at ``x @ w + b``."""
+        return g if mask is None else g * mask
+
+    return _emit(out, [
+        (x, lambda g: pre(g) @ wv.T),
+        (w, lambda g: xv.T @ pre(g)),
+        (b, lambda g: pre(g).sum(axis=0)),
+    ])
+
+
 def relu(a: Tensor) -> Tensor:
     av = a.values
     mask = av > 0.0

@@ -122,8 +122,7 @@ def init_params(config: EncoderConfig, input_dim: int, seed: int) -> EncoderPara
 
 
 def mlp_forward(x: Tensor, p: MlpParams) -> Tensor:
-    hidden = ad.relu(ad.add_bias(ad.matmul(x, p.w1), p.b1))
-    return ad.add_bias(ad.matmul(hidden, p.w2), p.b2)
+    return ad.affine(ad.affine(x, p.w1, p.b1, relu=True), p.w2, p.b2)
 
 
 def gin_layer(batch: GraphBatch, h: Tensor, p: GinLayerParams) -> Tensor:
@@ -131,16 +130,21 @@ def gin_layer(batch: GraphBatch, h: Tensor, p: GinLayerParams) -> Tensor:
     return mlp_forward(ad.gin_aggregate(h, p.eps, batch.src, batch.dst), p)
 
 
-def gcn_layer(batch: GraphBatch, h: Tensor, p: GcnLayerParams) -> Tensor:
+def gcn_layer(batch: GraphBatch, h: Tensor | None, p: GcnLayerParams) -> Tensor:
     """ReLU(normalized-adjacency @ h @ w + b), self-loops added here.
 
     With edges duplicated per direction, the in-degree count plus the
     implicit self-loop gives the usual symmetric normalization. The
     coefficients are computed once per batch (``GraphBatch.gcn_coefs``).
+    ``h=None`` stands for the batch's constant node features, whose
+    propagation the batch also computes once (``GraphBatch.gcn_features``).
     """
-    edge_coef, self_coef = batch.gcn_coefs
-    pre = ad.gcn_propagate(h, batch.src, batch.dst, edge_coef, self_coef)
-    return ad.relu(ad.add_bias(ad.matmul(pre, p.w), p.b))
+    if h is None:
+        pre = ad.const(batch.gcn_features)
+    else:
+        edge_coef, self_coef = batch.gcn_coefs
+        pre = ad.gcn_propagate(h, batch.src, batch.dst, edge_coef, self_coef)
+    return ad.affine(pre, p.w, p.b, relu=True)
 
 
 def node_embeddings(batch: GraphBatch, params: EncoderParams, config: EncoderConfig) -> Tensor:
@@ -149,15 +153,18 @@ def node_embeddings(batch: GraphBatch, params: EncoderParams, config: EncoderCon
         raise ValueError(
             f"params have {len(params.layers)} layers, config expects {len(config.layer_dims)}"
         )
+    if config.gnn_type == "gcn":
+        # None: the first layer reads the batch's cached propagated features
+        h = None
+        for layer in params.layers:
+            h = gcn_layer(batch, h, layer)
+        return h
     h = ad.const(batch.node_features)
     last = len(params.layers) - 1
     for i, layer in enumerate(params.layers):
-        if config.gnn_type == "gin":
-            h = gin_layer(batch, h, layer)
-            if i < last:
-                h = ad.relu(h)
-        else:
-            h = gcn_layer(batch, h, layer)
+        h = gin_layer(batch, h, layer)
+        if i < last:
+            h = ad.relu(h)
     return h
 
 

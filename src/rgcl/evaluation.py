@@ -24,6 +24,7 @@ import numpy as np
 from .autodiff import NumericError
 from .encoder import EncoderConfig, EncoderParams, encode_graph
 from .graphs import GraphDataset, batch_graphs
+from .params import lift_params
 from .rationale import attribute_nodes, top_k_nodes
 from .training import (
     TrainConfig,
@@ -109,7 +110,9 @@ def linear_probe(
     the weights only, not the intercept. Everything is deterministic given
     ``split_seed``. The result records the last gradient norm the stopping
     test read, and so whether the fit converged. Labels must be
-    non-negative integer class indices.
+    non-negative integer class indices. Only the classes present in the
+    training split are fitted and predicted; the class counts cover every
+    index up to the largest label.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     y = _class_indices(labels)
@@ -125,16 +128,18 @@ def linear_probe(
         raise ValueError(f"split leaves an empty side ({n_train} train of {m})")
     perm = np.random.default_rng(split_seed).permutation(m)
     tr, te = perm[:n_train], perm[n_train:]
-    if np.unique(y[tr]).size < 2:
+    # fit only the classes the training split holds: a class without
+    # training rows has no optimum (its intercept falls without bound)
+    fitted = np.unique(y[tr])
+    if fitted.size < 2:
         raise ValueError("train split contains a single class; cannot fit a probe")
 
-    num_classes = int(y.max()) + 1
     xa = np.hstack([x, np.ones((m, 1))])  # intercept column
-    onehot = np.eye(num_classes)[y[tr]]
+    onehot = np.eye(fitted.size)[np.searchsorted(fitted, y[tr])]
     xt = xa[tr]
     lipschitz = np.linalg.norm(xt, 2) ** 2 / (2.0 * len(tr)) + l2
     step = 1.0 / lipschitz
-    w = np.zeros((x.shape[1] + 1, num_classes))
+    w = np.zeros((x.shape[1] + 1, fitted.size))
     ridge_mask = np.ones_like(w)
     ridge_mask[-1] = 0.0  # leave the intercept unpenalized
     ridge = l2 * ridge_mask
@@ -146,7 +151,7 @@ def linear_probe(
     for iterations in range(1, PROBE_MAX_ITERS + 1):
         logits = xt @ w
         np.maximum(logits[:, :1], logits[:, 1:2], out=row_max)
-        for c in range(2, num_classes):
+        for c in range(2, fitted.size):
             np.maximum(row_max, logits[:, c:c + 1], out=row_max)
         logits -= row_max
         p = np.exp(logits)
@@ -158,7 +163,8 @@ def linear_probe(
             break
         w -= step * grad
 
-    pred = (xa @ w).argmax(axis=1)
+    pred = fitted[(xa @ w).argmax(axis=1)]
+    num_classes = int(y.max()) + 1
     return ProbeResult(
         train_accuracy=float((pred[tr] == y[tr]).mean()),
         test_accuracy=float((pred[te] == y[te]).mean()),
@@ -200,6 +206,7 @@ def rationale_precision(
     dataset: GraphDataset, generator_params: EncoderParams, config: EncoderConfig
 ) -> RationaleScore:
     """Score the attribution network's top-k nodes against ground truth."""
+    generator_params = lift_params(generator_params, None)
     per_graph = []
     baseline_terms = []
     for i, g in enumerate(dataset.graphs):

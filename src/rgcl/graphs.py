@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import const, gcn_propagate
+
 
 class GraphFormatError(ValueError):
     """A graph file or payload violates the expected format."""
@@ -224,8 +226,8 @@ class GraphBatch:
     def num_nodes(self) -> int:
         return self.node_features.shape[0]
 
-    # Edge constants every message-passing layer over the batch reads; each is
-    # computed on first use and then shared by all layers.
+    # Constants the message-passing layers over the batch read; each is
+    # computed on first use and then shared by all layers and calls.
 
     @cached_property
     def src(self) -> np.ndarray:
@@ -244,6 +246,13 @@ class GraphBatch:
         deg = 1.0 + np.bincount(self.dst, minlength=self.num_nodes)
         inv_sqrt = 1.0 / np.sqrt(deg)
         return (inv_sqrt[self.src] * inv_sqrt[self.dst])[:, None], (1.0 / deg)[:, None]
+
+    @cached_property
+    def gcn_features(self) -> np.ndarray:
+        """The first GCN layer's propagation of the constant node features:
+        ``gcn_propagate``'s value on them. No parameter enters it, so every
+        scorer call on a dataset graph's ``as_batch`` reuses it."""
+        return gcn_propagate(const(self.node_features), self.src, self.dst, *self.gcn_coefs).values
 
 
 def batch_graphs(graphs: list[Graph]) -> GraphBatch:

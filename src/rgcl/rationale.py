@@ -72,10 +72,17 @@ class View:
 def attribute_nodes(
     g: Graph, params: EncoderParams, config: EncoderConfig
 ) -> AttributionScores:
-    """Score every node of one graph; softmax over the graph's nodes."""
+    """Score every node of one graph; softmax over the graph's nodes.
+
+    ``params`` may hold raw arrays or tensors (value- or tape-lifted). Only
+    a tree that still holds raw arrays is lifted here, so a caller scoring
+    many graphs lifts once and passes the lifted tree.
+    """
     if params.head is None:
         raise ValueError("attribution scorer requires head parameters")
-    params = lift_params(params, None)
+    # lift_params never mixes arrays and tensors in one tree: one leaf tells
+    if not isinstance(params.head.w1, Tensor):
+        params = lift_params(params, None)
     h = node_embeddings(g.as_batch, params, config)
     scores = mlp_forward(h, params.head)
     if scores.shape != (g.num_nodes, 1):
@@ -173,6 +180,7 @@ def export_rationales(
     k is the planted-mask size when the graph has one, else the rationale
     view size for ``rho``; the top-k set is :func:`top_k_nodes`'s.
     """
+    params = lift_params(params, None)
     out = []
     for i, g in enumerate(dataset):
         probs = attribute_nodes(g, params, config).probs.values.reshape(-1)

@@ -42,14 +42,17 @@ from .graphs import (
 from .losses import BatchViews, LossReport, project, rgcl_loss
 from .params import assign_arrays, lift_params, named_arrays, named_leaves
 from .rationale import (
+    WEIGHT_CEIL,
+    WEIGHT_FLOOR,
     AttributionScores,
     attribute_nodes,
     complement_from_kept,
-    gumbel_top_k,
     rationale_from_kept,
     uniform_scores,
     view_size,
 )
+# perfbench's tracer wraps rgcl.training.gumbel_top_k, so the name stays importable here
+from .rationale import gumbel_top_k  # noqa: F401
 
 CHECKPOINT_VERSION = 2
 ADAM_DECAYS = (0.9, 0.999)
@@ -258,20 +261,45 @@ def sample_selections(
     """Phase A: draw all node selections for a batch.
 
     Each anchor gets its own child generator split from the supplied
-    stream, so the draws are reproducible anchor by anchor.
+    stream, in anchor order, so the draws are reproducible anchor by
+    anchor. The child draws the Gumbel noise of all the anchor's views at
+    once, ``3 * n`` values (``2 * n`` without complements), which equal one
+    ``n``-value draw per view in view order. One lexsort over (segment,
+    -key) then keeps every view's top k for the whole batch, so the
+    selections equal those of a :func:`gumbel_top_k` call per view.
     """
     variant = normalize_variant(variant)
+    if not graphs:
+        raise ValueError("sample_selections needs at least one graph")
     gen_cfg = config.generator_config()
-    out = []
+    generator = lift_params(generator, None)
+    num_views = 2 if variant == "no_independence" else 3
+    weights, noise, sizes, ks = [], [], [], []
     for g in graphs:
         child = np.random.default_rng(int(rng.integers(2**63)))
         p = _node_scores(g, generator, gen_cfg, variant).probs.values.reshape(-1)
-        k = view_size(g.num_nodes, config.rho)
-        r1 = gumbel_top_k(p, k, child)
-        r2 = gumbel_top_k(p, k, child)
-        c = None if variant == "no_independence" else gumbel_top_k(1.0 - p, k, child)
-        out.append(FrozenSelection(r1=r1, r2=r2, c=c))
-    return out
+        weights += [p, p, 1.0 - p][:num_views]
+        noise.append(child.gumbel(size=num_views * p.size))
+        sizes.append(g.num_nodes)
+        ks.append(view_size(g.num_nodes, config.rho))
+    # gumbel_top_k's keys, segment by segment: anchor-major, then view
+    w = np.clip(np.concatenate(weights), WEIGHT_FLOOR, WEIGHT_CEIL)
+    keys = np.log(w) + np.concatenate(noise)
+    seg_sizes = np.repeat(sizes, num_views)
+    seg_ks = np.repeat(ks, num_views)
+    starts = np.cumsum(seg_sizes) - seg_sizes
+    seg = np.repeat(np.arange(seg_sizes.size), seg_sizes)
+    # sorting keeps each segment's block in place, so slot j of the order
+    # is rank j - starts[seg[j]] within its segment
+    order = np.lexsort((-keys, seg))
+    kept = np.zeros(keys.size, dtype=bool)
+    kept[order[np.arange(keys.size) - starts[seg] < seg_ks[seg]]] = True
+    flat = np.flatnonzero(kept)  # ascending: segment by segment, node by node
+    nodes = np.split(flat - starts[seg[flat]], np.cumsum(seg_ks)[:-1])
+    return [
+        FrozenSelection(r1=nodes[v], r2=nodes[v + 1], c=nodes[v + 2] if num_views == 3 else None)
+        for v in range(0, len(nodes), num_views)
+    ]
 
 
 def encode_views(
@@ -283,14 +311,20 @@ def encode_views(
     config: TrainConfig,
     variant: str = "full",
 ) -> BatchViews:
-    """The differentiable view forward given frozen selections.
+    """The differentiable view forward given frozen selections, one per graph.
 
     Parameters may be raw arrays (value-only evaluation) or tape-lifted
     tensors (training).
     """
     variant = normalize_variant(variant)
+    if len(selections) != len(graphs):
+        raise ValueError(
+            f"encode_views needs one selection per graph, got {len(graphs)} graphs "
+            f"and {len(selections)} selections"
+        )
     gen_cfg = config.generator_config()
     enc_cfg = config.encoder_config()
+    generator = lift_params(generator, None)
     r1_views, r2_views, c_views = [], [], []
     for g, sel in zip(graphs, selections):
         scores = _node_scores(g, generator, gen_cfg, variant)

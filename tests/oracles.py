@@ -2,9 +2,10 @@
 
 Everything here is written the slow, obvious way (dense matrices, explicit
 enumeration, arbitrary-precision arithmetic) and deliberately shares no code
-with ``rgcl`` itself. The one exception is the unfused message-passing chains:
-they are built from the package's elementary tape ops, because the fused ops
-must match exactly those chains, bit for bit.
+with ``rgcl`` itself. The exceptions are the unfused chains of the fused
+ops, built from the package's elementary tape ops, and Phase A drawn one
+``gumbel_top_k`` call per view: the fused and batched forms must match
+exactly those, bit for bit.
 """
 
 from __future__ import annotations
@@ -103,6 +104,40 @@ def gcn_propagate_unfused(h, src, dst, edge_coef, self_coef):
     return ad.add(ad.segment_sum(msgs, dst, h.shape[0]), self_term)
 
 
+def affine_unfused(x, w, b, relu):
+    """``autodiff.affine`` as the chain of elementary tape ops it fuses:
+    ``matmul``, ``add_bias``, then ``relu`` when ``relu`` is true."""
+    import rgcl.autodiff as ad
+
+    out = ad.add_bias(ad.matmul(x, w), b)
+    return ad.relu(out) if relu else out
+
+
+def sample_selections_per_view(graphs, generator, config, rng, variant="full"):
+    """``training.sample_selections`` with one ``gumbel_top_k`` call per view:
+    each anchor splits a child generator off ``rng`` and draws r1, r2, then
+    (unless the variant drops complements) c from it, weighting by p and
+    1 - p. Returns ``(r1, r2, c)`` tuples, ``c`` None without complements."""
+    from rgcl.rationale import attribute_nodes, gumbel_top_k, uniform_scores, view_size
+    from rgcl.training import normalize_variant
+
+    variant = normalize_variant(variant)
+    out = []
+    for g in graphs:
+        child = np.random.default_rng(int(rng.integers(2**63)))
+        if variant == "no_rationale_views":
+            scores = uniform_scores(g)
+        else:
+            scores = attribute_nodes(g, generator, config.generator_config())
+        p = scores.probs.values.reshape(-1)
+        k = view_size(g.num_nodes, config.rho)
+        r1 = gumbel_top_k(p, k, child)
+        r2 = gumbel_top_k(p, k, child)
+        c = None if variant == "no_independence" else gumbel_top_k(1.0 - p, k, child)
+        out.append((r1, r2, c))
+    return out
+
+
 def gcn_coefs_fresh(edges, num_nodes):
     """GCN's ``(edge_coef, self_coef)`` for one edge list, computed from scratch
     the way a GCN layer computes them for each call: the degree counts
@@ -180,8 +215,9 @@ def independence_loss_mp(r1, r2, c, n: int, tau: float) -> float:
 def linear_probe_reference(embeddings, labels, split_seed=0, train_fraction=0.8, l2=1e-4) -> dict:
     """``rgcl.evaluation.linear_probe`` written with a reduce for the row max,
     ``l2 * (w * ridge_mask)`` and ``np.linalg.norm``: the loop the package's
-    tuned one must match bit for bit. Returns the probe's fields as a dict,
-    ``grad_norm`` being the last norm the stopping test read."""
+    tuned one must match bit for bit. It fits only the classes present in
+    the training split and counts every class. Returns the probe's fields as
+    a dict, ``grad_norm`` being the last norm the stopping test read."""
     x = np.asarray(embeddings, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     m = x.shape[0]
@@ -189,12 +225,13 @@ def linear_probe_reference(embeddings, labels, split_seed=0, train_fraction=0.8,
     perm = np.random.default_rng(split_seed).permutation(m)
     tr, te = perm[:n_train], perm[n_train:]
     num_classes = int(y.max()) + 1
+    fitted = np.unique(y[tr])  # the classes with training rows
     xa = np.hstack([x, np.ones((m, 1))])
-    onehot = np.eye(num_classes)[y[tr]]
+    onehot = np.eye(fitted.size)[np.searchsorted(fitted, y[tr])]
     xt = xa[tr]
     lipschitz = np.linalg.norm(xt, 2) ** 2 / (2.0 * len(tr)) + l2
     step = 1.0 / lipschitz
-    w = np.zeros((x.shape[1] + 1, num_classes))
+    w = np.zeros((x.shape[1] + 1, fitted.size))
     ridge_mask = np.ones_like(w)
     ridge_mask[-1] = 0.0
     for iterations in range(1, 5000 + 1):
@@ -211,7 +248,7 @@ def linear_probe_reference(embeddings, labels, split_seed=0, train_fraction=0.8,
     def counts(labels_):
         return {c: int(np.sum(labels_ == c)) for c in range(num_classes)}
 
-    pred = (xa @ w).argmax(axis=1)
+    pred = fitted[(xa @ w).argmax(axis=1)]
     return {
         "train_accuracy": float((pred[tr] == y[tr]).mean()),
         "test_accuracy": float((pred[te] == y[te]).mean()),

@@ -6,6 +6,7 @@ import pytest
 
 import rgcl.autodiff as ad
 from oracles import (
+    affine_unfused,
     finite_difference,
     gcn_propagate_unfused,
     gin_aggregate_unfused,
@@ -314,39 +315,42 @@ def gcn_forms(batch):
             lambda h: gcn_propagate_unfused(h, batch.src, batch.dst, edge_coef, self_coef))
 
 
+def value_and_grads(op, arrays, w):
+    tape = ad.Tape()
+    leaves = [tape.leaf(a) for a in arrays]
+    out = op(*leaves)
+    store = ad.backward(tape, ad.sum_all(ad.mul(out, ad.const(w))))
+    return out.values, [store[leaf] for leaf in leaves], tape.num_records
+
+
+def check_bit_identical(forms, arrays, rng):
+    """The fused op's value and every gradient equal the unfused chain's, and
+    it takes one record."""
+    fused, unfused = forms
+    w = rng.standard_normal(fused(*[ad.const(a) for a in arrays]).shape)
+    value, grads, records = value_and_grads(fused, arrays, w)
+    ref_value, ref_grads, _ = value_and_grads(unfused, arrays, w)
+    assert np.array_equal(value, ref_value)
+    for got, want in zip(grads, ref_grads):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    assert records == 3  # the fused op, then mul and sum_all of the loss
+
+
 class TestFusedMessagePassing:
     """Each fused op is one record whose value and VJPs equal the unfused
     gather / scatter / mul / add chain bit for bit."""
-
-    @staticmethod
-    def value_and_grads(op, arrays, w):
-        tape = ad.Tape()
-        leaves = [tape.leaf(a) for a in arrays]
-        out = op(*leaves)
-        store = ad.backward(tape, ad.sum_all(ad.mul(out, ad.const(w))))
-        return out.values, [store[leaf] for leaf in leaves], tape.num_records
-
-    def check_bit_identical(self, forms, arrays, rng):
-        fused, unfused = forms
-        w = rng.standard_normal(arrays[0].shape)
-        value, grads, records = self.value_and_grads(fused, arrays, w)
-        ref_value, ref_grads, _ = self.value_and_grads(unfused, arrays, w)
-        assert np.array_equal(value, ref_value)
-        for got, want in zip(grads, ref_grads):
-            assert got.shape == want.shape and np.array_equal(got, want)
-        assert records == 3  # the fused op, then mul and sum_all of the loss
 
     def test_gin_aggregate_equals_unfused_chain(self):
         rng = np.random.default_rng(0)
         for batch in message_passing_batches():
             h = rng.standard_normal((batch.num_nodes, 4))
-            self.check_bit_identical(gin_forms(batch), [h, np.asarray(rng.standard_normal())], rng)
+            check_bit_identical(gin_forms(batch), [h, np.asarray(rng.standard_normal())], rng)
 
     def test_gcn_propagate_equals_unfused_chain(self):
         rng = np.random.default_rng(1)
         for batch in message_passing_batches():
             h = rng.standard_normal((batch.num_nodes, 4))
-            self.check_bit_identical(gcn_forms(batch), [h], rng)
+            check_bit_identical(gcn_forms(batch), [h], rng)
 
     def test_untracked_inputs_give_untracked_values(self):
         batch = message_passing_batches()[0]
@@ -354,6 +358,16 @@ class TestFusedMessagePassing:
         for forms, args in ((gin_forms(batch), (h, ad.const(0.5))), (gcn_forms(batch), (h,))):
             out, ref = (op(*args) for op in forms)
             assert out.tape is None and np.array_equal(out.values, ref.values)
+
+    def test_cached_gcn_features_equal_the_propagation(self):
+        """``GraphBatch.gcn_features`` is ``gcn_propagate`` (and its unfused
+        chain) on the constant node features, computed once per batch."""
+        for batch in message_passing_batches():
+            h = ad.const(batch.node_features)
+            fused, unfused = (op(h).values for op in gcn_forms(batch))
+            assert np.array_equal(batch.gcn_features, fused)
+            assert np.array_equal(batch.gcn_features, unfused)
+            assert batch.gcn_features is batch.gcn_features
 
     def test_gin_aggregate_matches_finite_differences(self):
         for i, batch in enumerate(message_passing_batches()):
@@ -368,6 +382,53 @@ class TestFusedMessagePassing:
             run_gradcheck(lambda r, n=batch.num_nodes: [r.standard_normal((n, 3))],
                           lambda t, op=gcn_forms(batch)[0]: op(*t),
                           seeds=range(3 * i, 3 * i + 3))
+
+
+def affine_forms(relu):
+    """The fused affine op and its unfused chain, as functions of (x, w, b)."""
+    return (lambda x, w, b: ad.affine(x, w, b, relu=relu),
+            lambda x, w, b: affine_unfused(x, w, b, relu))
+
+
+def affine_arrays(rng, n=6, d_in=3, d_out=5):
+    return [rng.standard_normal((n, d_in)), rng.standard_normal((d_in, d_out)),
+            rng.standard_normal(d_out)]
+
+
+class TestFusedAffine:
+    """``affine`` is one record whose value and VJPs equal the
+    matmul / add_bias (/ relu) chain bit for bit."""
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_equals_unfused_chain(self, relu):
+        rng = np.random.default_rng(5)
+        for n in (1, 6, 40):
+            check_bit_identical(affine_forms(relu), affine_arrays(rng, n=n), rng)
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_constant_input_equals_unfused_chain(self, relu):
+        """A constant x (the first layer's features) records only w and b."""
+        rng = np.random.default_rng(6)
+        x, w, b = affine_arrays(rng)
+        forms = tuple(lambda w, b, op=op: op(ad.const(x), w, b) for op in affine_forms(relu))
+        check_bit_identical(forms, [w, b], rng)
+
+    def test_untracked_inputs_give_untracked_values(self):
+        arrays = [ad.const(a) for a in affine_arrays(np.random.default_rng(7))]
+        for relu in (False, True):
+            out, ref = (op(*arrays) for op in affine_forms(relu))
+            assert out.tape is None and np.array_equal(out.values, ref.values)
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_matches_finite_differences(self, relu):
+        run_gradcheck(affine_arrays, lambda t: ad.affine(*t, relu=relu), seeds=range(5))
+
+    def test_shape_mismatch(self):
+        x, w, b = (ad.const(a) for a in affine_arrays(np.random.default_rng(8)))
+        with pytest.raises(ValueError, match="matmul"):
+            ad.affine(w, w, b)
+        with pytest.raises(ValueError, match="add_bias"):
+            ad.affine(x, w, ad.const(np.zeros(2)))
 
 
 class TestMaskedRowOps:

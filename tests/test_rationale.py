@@ -71,6 +71,29 @@ class TestAttributeNodes:
             fresh = attribute_nodes(twin, params, GEN_CFG).probs.values
             assert np.array_equal(first, second) and np.array_equal(first, fresh)
 
+    def test_raw_and_lifted_trees_give_the_same_bits(self):
+        """A raw tree, a value-lifted one and a tape-lifted one score alike."""
+        params = init_params(GEN_CFG, 2, seed=3)
+        for seed in range(3):
+            g = path_graph(6, seed=seed)
+            raw = attribute_nodes(g, params, GEN_CFG).probs.values
+            lifted = attribute_nodes(g, lift_params(params, None), GEN_CFG).probs.values
+            taped = attribute_nodes(g, lift_params(params, ad.Tape()), GEN_CFG).probs
+            assert taped.tape is not None
+            assert np.array_equal(raw, lifted) and np.array_equal(raw, taped.values)
+
+    def test_one_forward_records_six_tape_nodes(self):
+        """Two GCN layers and the head, then the softmax: the first layer's
+        propagation is constant, and each affine map (with its ReLU) is one
+        record."""
+        params = init_params(GEN_CFG, 2, seed=3)
+        tape = ad.Tape()
+        lifted = lift_params(params, tape)
+        for n in (1, 5, 9):
+            before = tape.num_records
+            attribute_nodes(path_graph(n), lifted, GEN_CFG)
+            assert tape.num_records - before == 6
+
     def test_head_params_required(self):
         cfg = EncoderConfig(gnn_type="gcn", layer_dims=(4,))
         with pytest.raises(ValueError, match="head"):

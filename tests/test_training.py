@@ -11,7 +11,7 @@ import pytest
 
 import rgcl.autodiff as ad
 import rgcl.graphs as rgcl_graphs
-from oracles import finite_difference, jitter_params, max_rel_err
+from oracles import finite_difference, jitter_params, max_rel_err, sample_selections_per_view
 from rgcl.datasets import PlantedMotifSpec, generate_planted_motif_dataset
 from rgcl.training import (
     CheckpointFormatError,
@@ -22,6 +22,7 @@ from rgcl.training import (
     load_checkpoint,
     normalize_variant,
     pretrain,
+    encode_views,
     sample_selections,
     save_checkpoint,
     train_step,
@@ -336,6 +337,56 @@ class TestTrainStep:
         graphs = [small_dataset[i] for i in range(4)]
         with pytest.raises(ad.NumericError, match="step 0"):
             train_step(state, graphs, cfg)
+
+
+class TestBatchedSelection:
+    """Phase A's one noise draw per anchor and one lexsort over the batch
+    equal a ``gumbel_top_k`` call per view, in every variant."""
+
+    @staticmethod
+    def graphs(dataset, n):
+        """``n`` anchors cycling through the dataset, every fourth one a
+        one-node graph."""
+        rng = np.random.default_rng(n)
+        lone = [rgcl_graphs.Graph(node_features=rng.standard_normal((1, dataset.feature_dim)),
+                                  edges=np.zeros((0, 2))) for _ in range(n)]
+        return [lone[i] if i % 4 == 3 else dataset[i % len(dataset)] for i in range(n)]
+
+    @pytest.mark.parametrize("variant", ["full", "no_rv", "no_i"])
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    @pytest.mark.parametrize("rho", [0.3, 0.8, 1.0])
+    def test_equals_per_view_gumbel_top_k(self, small_dataset, variant, n, rho):
+        cfg = tiny_config(rho=rho)
+        state = init_train_state(cfg, small_dataset.feature_dim)
+        graphs = self.graphs(small_dataset, n)
+        for seed in range(3):
+            got = sample_selections(graphs, state.generator, cfg, np.random.default_rng(seed),
+                                    variant)
+            want = sample_selections_per_view(graphs, state.generator, cfg,
+                                              np.random.default_rng(seed), variant)
+            assert len(got) == n
+            for sel, (r1, r2, c) in zip(got, want):
+                for a, b in ((sel.r1, r1), (sel.r2, r2)):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+                if c is None:
+                    assert sel.c is None
+                else:
+                    assert sel.c.dtype == c.dtype and np.array_equal(sel.c, c)
+
+    def test_empty_batch_rejected(self, small_dataset):
+        cfg = tiny_config()
+        state = init_train_state(cfg, small_dataset.feature_dim)
+        with pytest.raises(ValueError, match="at least one graph"):
+            sample_selections([], state.generator, cfg, np.random.default_rng(0))
+
+    def test_encode_views_needs_one_selection_per_graph(self, small_dataset):
+        """Eight graphs with five selections used to encode five anchors."""
+        cfg = tiny_config()
+        state = init_train_state(cfg, small_dataset.feature_dim)
+        graphs = [small_dataset[i] for i in range(8)]
+        sel = sample_selections(graphs[:5], state.generator, cfg, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="8 graphs and 5 selections"):
+            encode_views(graphs, sel, state.encoder, state.generator, state.projector, cfg)
 
 
 class TestFullPipelineGradient:

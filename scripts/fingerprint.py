@@ -22,7 +22,9 @@ It covers:
   ``rgcl sweep`` (grid ``{"seeds": [1]}``) on the same 200 graphs, which
   runs ``evaluation.run_ablation``;
 * the dataset hash of each seeded random TU directory that
-  ``tests/oracles.py::write_random_tu`` writes (seeds 0-29).
+  ``tests/oracles.py::write_random_tu`` writes (seeds 0-29);
+* the dataset hash of the benchmark's own input: 500 graphs of
+  ``PlantedMotifSpec(seed=1)``, which ``perfbench`` generates in each setup.
 
 The script and ``tests/oracles.py`` come from this checkout; only the package
 comes from ``PYTHONPATH``. A run takes a few seconds.
@@ -42,7 +44,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from oracles import write_random_tu  # noqa: E402
 from rgcl.cli import main  # noqa: E402
-from rgcl.datasets import load_tu_dataset  # noqa: E402
+from rgcl.datasets import (  # noqa: E402
+    PlantedMotifSpec, generate_planted_motif_dataset, load_tu_dataset,
+)
 from rgcl.graphs import dataset_hash  # noqa: E402
 from rgcl.training import TrainConfig  # noqa: E402
 
@@ -104,6 +108,8 @@ def fingerprint(tmp: Path) -> list[str]:
         directory = tmp / "tu" / str(seed)
         write_random_tu(directory, seed)
         lines.append(f"tu/{seed} {dataset_hash(load_tu_dataset(directory))}")
+    bench = generate_planted_motif_dataset(PlantedMotifSpec(seed=1), 500)
+    lines.append(f"planted/seed1-500 {dataset_hash(bench)}")
     return lines
 
 

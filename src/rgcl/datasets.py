@@ -177,17 +177,17 @@ class PlantedMotifSpec:
             raise ValueError("edge_prob_background must be in [0, 1]")
 
 
-def _motif_edges(label: int, k: int) -> list[tuple[int, int]]:
-    """Class-specific wiring on nodes 0..k-1: a ring, plus chords whose
-    stride grows with the class index so wirings are pairwise distinct."""
-    edges = [(i, (i + 1) % k) for i in range(k)]
-    if label > 0:
-        stride = 1 + label
-        for i in range(k):
-            j = (i + stride) % k
-            if j != i:
-                edges.append((min(i, j), max(i, j)))
-    return edges
+def _motif_edges(label: int, k: int) -> np.ndarray:
+    """Class-specific wiring on nodes 0..k-1 as an int64 [E, 2] array: a ring,
+    plus chords whose stride grows with the class index so wirings are
+    pairwise distinct."""
+    i = np.arange(k)
+    ring = np.stack([i, (i + 1) % k], axis=1)
+    if label == 0:
+        return ring
+    j = (i + 1 + label) % k
+    chord = j != i
+    return np.concatenate([ring, np.stack([i[chord], j[chord]], axis=1)])
 
 
 def _signature(label: int, dim: int) -> np.ndarray:
@@ -210,19 +210,22 @@ def generate_planted_motif_dataset(spec: PlantedMotifSpec, count: int) -> GraphD
     rng = np.random.default_rng(spec.seed)
     lo, hi = spec.background_size_range
     k = spec.motif_size
+    motifs = [_motif_edges(label, k) for label in range(min(spec.num_classes, count))]
+    # background pairs (u, v > u) among nodes k..n-1 in row-major order, per node
+    # count n; built on first use and dropped with this call
+    pair_tables: dict[int, np.ndarray] = {}
     graphs = []
     for i in range(count):
         label = i % spec.num_classes
         n = int(rng.integers(lo, hi + 1))
-        edges = _motif_edges(label, k)
-        # background wiring among nodes k..n-1: one draw per pair, in the
-        # row-major pair order of a (u, v > u) double loop
-        u, v = np.triu_indices(n - k, 1)
-        wired = rng.random(u.size) < spec.edge_prob_background
-        edges += zip((u[wired] + k).tolist(), (v[wired] + k).tolist())
+        pairs = pair_tables.get(n)
+        if pairs is None:
+            pairs = pair_tables[n] = np.stack(np.triu_indices(n - k, 1), axis=1) + k
+        # background wiring: one draw per pair, in the table's order
+        parts = [motifs[label], pairs[rng.random(len(pairs)) < spec.edge_prob_background]]
         # attach the motif so the graph is not trivially split
         if n > k:
-            edges.append((int(rng.integers(0, k)), int(rng.integers(k, n))))
+            parts.append(np.array([[rng.integers(0, k), rng.integers(k, n)]]))
         features = rng.normal(0.0, spec.noise_std, size=(n, spec.feature_dim))
         features[:k] += _signature(label, spec.feature_dim)
         mask = np.zeros(n, dtype=bool)
@@ -230,7 +233,7 @@ def generate_planted_motif_dataset(spec: PlantedMotifSpec, count: int) -> GraphD
         graphs.append(
             Graph(
                 node_features=features,
-                edges=canonical_edges(edges, n),
+                edges=canonical_edges(np.concatenate(parts), n),
                 label=label,
                 rationale_mask=mask,
             )

@@ -116,11 +116,29 @@ def write_text_atomic(path, text: str) -> None:
 
 
 def canonical_edges(edges, num_nodes: int) -> np.ndarray:
-    """Validate an edge list, add every reverse edge, deduplicate, and sort."""
-    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    """Validate an edge list, add every reverse edge, deduplicate, and sort.
+
+    ``edges`` must be an integer [E, 2] array or nested list, or empty; a float,
+    bool or string endpoint, a flat list or an endpoint outside ``0..num_nodes-1``
+    raises :class:`GraphFormatError`. Each directed pair (u, v) is encoded as the
+    int64 key ``u * num_nodes + v``, so one 1-D sort of the keys gives the
+    lexicographic (u, v) order; the keys need ``num_nodes**2 < 2**63``.
+    """
+    try:
+        arr = np.asarray(edges)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise GraphFormatError(f"edges must be an [E, 2] list of integers: {exc}") from exc
+    if arr.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != 2 or not np.issubdtype(arr.dtype, np.integer):
+        raise GraphFormatError(
+            f"edges must be an [E, 2] list of integers, got {arr.dtype} values of shape {arr.shape}"
+        )
     if ((arr < 0) | (arr >= num_nodes)).any():
         raise GraphFormatError(f"edge endpoint out of range for {num_nodes} nodes")
-    return np.unique(np.concatenate([arr, arr[:, ::-1]]), axis=0)
+    u, v = arr.astype(np.int64, copy=False).T
+    keys = np.unique(np.concatenate([u * num_nodes + v, v * num_nodes + u]))
+    return np.stack([keys // num_nodes, keys % num_nodes], axis=1)
 
 
 @dataclass(frozen=True)

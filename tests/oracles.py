@@ -323,6 +323,13 @@ def newton_probe(x, y, num_classes, l2):
 # misc small references
 
 
+def canonical_edges_reference(edges) -> np.ndarray:
+    """Every edge and its reverse, deduplicated and sorted by rows with
+    ``np.unique(axis=0)``, which needs no bound on the node ids."""
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return np.unique(np.concatenate([arr, arr[:, ::-1]]), axis=0)
+
+
 def induced_edges_bruteforce(edges, keep) -> list[tuple[int, int]]:
     """Edges surviving a node subset, relabeled by position in sorted keep."""
     keep = sorted(keep)

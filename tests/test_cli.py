@@ -305,6 +305,18 @@ class TestDataErrors:
         assert main(["pretrain", "--config", config_path]) == 3
         assert "graph 2: node features must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edges", [[[0, 1.7]], [[True, False]], [["0", "1"]], [0, 1, 1, 2], [[0, 10**20]]],
+        ids=["float", "bool", "string", "flat", "too-large"],
+    )
+    def test_bad_edge_endpoints_exit_3(self, workspace, capsys, edges):
+        tmp, config_path, data_path = workspace
+        payload = json.loads(data_path.read_text())
+        payload["graphs"][2]["edges"] = edges
+        data_path.write_text(json.dumps(payload))
+        assert main(["pretrain", "--config", config_path]) == 3
+        assert "graph 2: edges must be an [E, 2] list of integers" in capsys.readouterr().err
+
     @pytest.mark.parametrize("case", ["graphs-not-a-list", "feature-dim-string", "mixed-widths"])
     def test_malformed_dataset_json_exits_3(self, workspace, capsys, case):
         tmp, config_path, data_path = workspace

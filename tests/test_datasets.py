@@ -1,5 +1,6 @@
 """TU-directory parsing and planted-motif generator checks."""
 
+import dataclasses
 import os
 from pathlib import Path
 
@@ -148,6 +149,19 @@ class TestTuLoader:
         assert abs(mean_nodes - 17.93) < 0.01
 
 
+def reference_hash(spec, count: int) -> str:
+    """``dataset_hash`` of ``tests/oracles.py``'s pair-by-pair generator."""
+    return dataset_hash(GraphDataset(
+        graphs=[
+            Graph(node_features=features, edges=np.array(edges).reshape(-1, 2),
+                  label=label, rationale_mask=np.array(mask))
+            for features, edges, label, mask in planted_motif_reference(spec, count)
+        ],
+        feature_dim=spec.feature_dim,
+        num_classes=spec.num_classes,
+    ))
+
+
 class TestPlantedMotif:
     SPEC = PlantedMotifSpec(
         motif_size=5, background_size_range=(15, 25), num_classes=2,
@@ -158,6 +172,17 @@ class TestPlantedMotif:
         a = generate_planted_motif_dataset(self.SPEC, 40)
         b = generate_planted_motif_dataset(self.SPEC, 40)
         assert dataset_hash(a) == dataset_hash(b)
+
+    def test_a_call_keeps_no_state_for_the_next(self):
+        # a table or memo kept across calls and keyed by the node count alone
+        # would hand the second spec, whose motif shifts its pairs differently,
+        # the first spec's tables
+        other = dataclasses.replace(self.SPEC, motif_size=3, background_size_range=(3, 30))
+        first = dataset_hash(generate_planted_motif_dataset(self.SPEC, 40))
+        between = dataset_hash(generate_planted_motif_dataset(other, 40))
+        assert dataset_hash(generate_planted_motif_dataset(self.SPEC, 40)) == first
+        assert first == reference_hash(self.SPEC, 40)
+        assert between == reference_hash(other, 40)
 
     def test_sizes_labels_and_masks(self):
         ds = generate_planted_motif_dataset(self.SPEC, 50)

@@ -15,7 +15,7 @@ from rgcl.graphs import (
     load_dataset_json,
     save_dataset_json,
 )
-from oracles import gcn_coefs_fresh, induced_edges_bruteforce
+from oracles import canonical_edges_reference, gcn_coefs_fresh, induced_edges_bruteforce
 
 
 def triangle() -> Graph:
@@ -56,6 +56,32 @@ class TestGraph:
     def test_single_node_graph_is_legal(self):
         g = Graph(node_features=np.ones((1, 2)), edges=np.zeros((0, 2)))
         assert g.num_nodes == 1 and g.num_edges == 0
+
+
+class TestCanonicalEdges:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "case", ["empty", "self-loops", "duplicates", "both-directions", "one-node", "tu-scale"]
+    )
+    def test_integer_keys_match_the_row_sort(self, case, seed):
+        rng = np.random.default_rng(seed)
+        n = {"one-node": 1, "tu-scale": 999_983}.get(case, 12)
+        edges = rng.integers(0, n, size=(int(rng.integers(1, 3000 if n > 12 else 40)), 2))
+        if case == "empty":
+            edges = edges[:0]
+        elif case == "self-loops":
+            edges[::2, 1] = edges[::2, 0]
+        elif case == "duplicates":
+            edges = np.concatenate([edges, edges[::3]])
+        elif case == "both-directions":
+            edges = np.concatenate([edges, edges[:, ::-1]])
+        elif case == "tu-scale":
+            edges = np.concatenate([edges, [[n - 1, n - 1], [0, n - 1], [n - 2, 1]]])
+        expected = canonical_edges_reference(edges)
+        for given in (edges, edges.tolist()):
+            got = canonical_edges(given, n)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestBatching:
@@ -159,6 +185,16 @@ class TestInducedSubgraph:
 
 
 
+BAD_EDGES = {
+    "float": [[0, 1.7]],
+    "bool": [[True, False]],
+    "string": [["0", "1"]],
+    "flat": [0, 1, 1, 2],
+    "too-large": [[0, 10**20]],
+    "ragged": [[0, 1], [2]],
+}
+
+
 class TestJsonInterchange:
     def build_dataset(self, seed=5, n=6):
         rng = np.random.default_rng(seed)
@@ -213,6 +249,13 @@ class TestJsonInterchange:
     def test_bad_graph_payload_names_graph(self):
         obj = {"graphs": [{"x": [[1.0]], "edges": [[0, 7]]}], "feature_dim": 1}
         with pytest.raises(GraphFormatError, match="graph 0"):
+            dataset_from_json(obj)
+
+    @pytest.mark.parametrize("edges", BAD_EDGES.values(), ids=BAD_EDGES.keys())
+    def test_bad_edge_endpoints_name_the_graph(self, edges):
+        obj = {"graphs": [{"x": [[1.0]]}, {"x": [[1.0], [1.0], [1.0]], "edges": edges}],
+               "feature_dim": 1}
+        with pytest.raises(GraphFormatError, match="graph 1: edges must be"):
             dataset_from_json(obj)
 
     @pytest.mark.parametrize("label", [1.7, True])

@@ -24,7 +24,12 @@ It covers:
 * the dataset hash of each seeded random TU directory that
   ``tests/oracles.py::write_random_tu`` writes (seeds 0-29);
 * the dataset hash of the benchmark's own input: 500 graphs of
-  ``PlantedMotifSpec(seed=1)``, which ``perfbench`` generates in each setup.
+  ``PlantedMotifSpec(seed=1)``, which ``perfbench`` generates in each setup;
+* on that input, after a one-epoch ``TrainConfig(seed=1)`` pretrain, the
+  ``embed_graphs`` embeddings and the two ``view_similarities`` mean cosines
+  (views drawn from the config's seed), as ``eval-planted`` computes them.
+  Their 500-graph batches are the ones large enough to scatter edge messages
+  in several column blocks.
 
 The script and ``tests/oracles.py`` come from this checkout; only the package
 comes from ``PYTHONPATH``. A run takes a few seconds.
@@ -40,6 +45,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from oracles import write_random_tu  # noqa: E402
@@ -47,8 +54,9 @@ from rgcl.cli import main  # noqa: E402
 from rgcl.datasets import (  # noqa: E402
     PlantedMotifSpec, generate_planted_motif_dataset, load_tu_dataset,
 )
+from rgcl.evaluation import embed_graphs, view_similarities  # noqa: E402
 from rgcl.graphs import dataset_hash  # noqa: E402
-from rgcl.training import TrainConfig  # noqa: E402
+from rgcl.training import TrainConfig, pretrain  # noqa: E402
 
 # (run name, variant, TrainConfig fields set on top of seed=1, epochs=2)
 RUNS = (
@@ -62,6 +70,10 @@ TU_SEEDS = range(30)
 
 def digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def array_digest(values: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
 
 
 def run(argv: list[str]) -> str:
@@ -110,6 +122,12 @@ def fingerprint(tmp: Path) -> list[str]:
         lines.append(f"tu/{seed} {dataset_hash(load_tu_dataset(directory))}")
     bench = generate_planted_motif_dataset(PlantedMotifSpec(seed=1), 500)
     lines.append(f"planted/seed1-500 {dataset_hash(bench)}")
+    config = TrainConfig(seed=1, epochs=1)
+    state = pretrain(bench, config)
+    emb = embed_graphs(bench, state.encoder, config.encoder_config())
+    cosines = np.array(view_similarities(bench, state, config, sample_seed=config.seed))
+    lines.append(f"planted/seed1-500/embed_graphs {array_digest(emb)}")
+    lines.append(f"planted/seed1-500/view_similarities {array_digest(cosines)}")
     return lines
 
 

@@ -115,14 +115,13 @@ def write_text_atomic(path, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def canonical_edges(edges, num_nodes: int) -> np.ndarray:
-    """Validate an edge list, add every reverse edge, deduplicate, and sort.
+def check_edges(edges, num_nodes: int) -> np.ndarray:
+    """``edges`` as an int64 [E, 2] array, unchanged in order and content (no copy
+    when it already is one).
 
     ``edges`` must be an integer [E, 2] array or nested list, or empty; a float,
-    bool or string endpoint, a flat list or an endpoint outside ``0..num_nodes-1``
-    raises :class:`GraphFormatError`. Each directed pair (u, v) is encoded as the
-    int64 key ``u * num_nodes + v``, so one 1-D sort of the keys gives the
-    lexicographic (u, v) order; the keys need ``num_nodes**2 < 2**63``.
+    bool or string endpoint, a flat list, rows that are not pairs, or an endpoint
+    outside ``0..num_nodes-1`` raises :class:`GraphFormatError`.
     """
     try:
         arr = np.asarray(edges)
@@ -130,13 +129,24 @@ def canonical_edges(edges, num_nodes: int) -> np.ndarray:
         raise GraphFormatError(f"edges must be an [E, 2] list of integers: {exc}") from exc
     if arr.size == 0:
         return np.empty((0, 2), dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] != 2 or not np.issubdtype(arr.dtype, np.integer):
+    if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
         raise GraphFormatError(
             f"edges must be an [E, 2] list of integers, got {arr.dtype} values of shape {arr.shape}"
         )
-    if ((arr < 0) | (arr >= num_nodes)).any():
+    if arr.min() < 0 or arr.max() >= num_nodes:
         raise GraphFormatError(f"edge endpoint out of range for {num_nodes} nodes")
-    u, v = arr.astype(np.int64, copy=False).T
+    return arr.astype(np.int64, copy=False)
+
+
+def canonical_edges(edges, num_nodes: int) -> np.ndarray:
+    """Validate an edge list with :func:`check_edges`, add every reverse edge,
+    deduplicate, and sort.
+
+    Each directed pair (u, v) is encoded as the int64 key ``u * num_nodes + v``,
+    so one 1-D sort of the keys gives the lexicographic (u, v) order; the keys
+    need ``num_nodes**2 < 2**63``.
+    """
+    u, v = check_edges(edges, num_nodes).T
     keys = np.unique(np.concatenate([u * num_nodes + v, v * num_nodes + u]))
     return np.stack([keys // num_nodes, keys % num_nodes], axis=1)
 
@@ -144,6 +154,10 @@ def canonical_edges(edges, num_nodes: int) -> np.ndarray:
 @dataclass(frozen=True)
 class Graph:
     """One undirected graph: features [n, d], directed-duplicated edges [E, 2].
+
+    ``edges`` is taken as given, without adding reverse edges or sorting, and
+    must pass :func:`check_edges` (a :class:`GraphFormatError`, so a
+    ``ValueError``, otherwise).
 
     ``rationale_mask`` (optional) marks ground-truth salient nodes for
     benchmarks that plant them.
@@ -158,11 +172,8 @@ class Graph:
         x = np.asarray(self.node_features, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] < 1:
             raise ValueError(f"node_features must be [n>=1, d], got shape {x.shape}")
-        e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        if e.size and (e.min() < 0 or e.max() >= x.shape[0]):
-            raise ValueError("edge endpoint out of range")
         object.__setattr__(self, "node_features", x)
-        object.__setattr__(self, "edges", e)
+        object.__setattr__(self, "edges", check_edges(self.edges, x.shape[0]))
         if self.rationale_mask is not None:
             m = np.asarray(self.rationale_mask, dtype=bool).reshape(-1)
             if m.shape[0] != x.shape[0]:

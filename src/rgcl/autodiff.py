@@ -409,11 +409,12 @@ def _scatter_rows(values: np.ndarray, ids: np.ndarray, num_rows: int,
     r. Message i is row i of ``values``, or row ``rows[i]`` when ``rows`` is
     given, times ``coef[i]`` when the [E, 1] column ``coef`` is given.
 
-    The [E, d] messages and their flat index are built in column blocks of at
-    most ``SCATTER_BLOCK`` elements, so no array of that size outlives one
-    block. Each block holds whole bins, and each bin adds its terms in message
-    order from zero, so the result is the same bit for bit whatever the block
-    width; when E * d fits in one block the statements are those of one block.
+    The messages and their flat index are built in column blocks of at most
+    ``SCATTER_BLOCK`` elements (one column when E alone exceeds it), never as
+    whole [E, d] arrays when E * d is larger. Each block holds whole bins, and
+    each bin adds its terms in message order from zero, so the result is the
+    same bit for bit whatever the block width. When E * d fits in the budget,
+    one :func:`_scatter_block` call does it all.
     """
     e, d = ids.size, values.shape[1]
     if e * d <= SCATTER_BLOCK:

@@ -1,6 +1,8 @@
 """Tape/tensor engine checks: closed-form values, finite-difference
 gradients for every op, and tape lifecycle rules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from oracles import (
     max_rel_err,
     softmax_ref,
 )
+from rgcl.datasets import PlantedMotifSpec, generate_planted_motif_dataset
 from rgcl.graphs import Graph, batch_graphs, canonical_edges
 
 SEEDS = range(20)
@@ -238,46 +241,97 @@ def add_at_rows(values, ids, num_rows):
     return out
 
 
+def same_bits(got, want):
+    """Equal shape, dtype and bytes: -0.0 differs from 0.0, a NaN equals itself."""
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def scatter_cases():
-    """(values, ids, num_rows): duplicate ids, empty segments, d = 1, NaN
-    input, no rows at all, and two message-passing sized draws."""
+    """(values, ids, num_rows): duplicate ids, empty segments, d = 1, NaN and
+    -0.0 input, no rows at all, a single node, seven columns, and two
+    message-passing sized draws."""
     rng = np.random.default_rng(11)
     nan_vals = rng.standard_normal((6, 3))
     nan_vals[2, 1] = np.nan
+    signed = np.array([[-0.0, 1.5, -0.0, 0.0], [-0.0, -0.0, -0.0, 2.5], [0.0, -0.0, -0.0, -0.0]])
     cases = [
         (rng.standard_normal((5, 3)), np.array([0, 0, 2, 1, 2]), 4),
         (rng.standard_normal((4, 2)), np.array([3, 3, 3, 3]), 6),
         (rng.standard_normal((3, 1)), np.array([9, 0, 9]), 10),
         (nan_vals, np.array([1, 1, 0, 0, 1, 3]), 4),
+        (signed, np.array([0, 0, 1]), 3),
         (np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 2),
+        (rng.standard_normal((3, 7)), np.zeros(3, dtype=np.int64), 1),
+        (rng.standard_normal((3, 7)), np.array([2, 0, 2]), 3),
     ]
     for e, n, d in ((600, 500, 32), (5000, 400, 32)):
         cases.append((rng.standard_normal((e, d)), rng.integers(0, n, e), n))
     return cases
 
 
-class TestScatterKernels:
-    """The bincount scatter must reproduce np.add.at bit for bit."""
+# The module's own block budget, which scatters every case above in one
+# block, and three small ones that split them into column blocks (see
+# test_small_budgets_split_the_cases_into_blocks).
+BUDGETS = {"default": None, "budget4": 4, "budget7": 7, "budget4096": 4096}
 
-    def test_segment_sum_bit_identical(self):
+
+@pytest.fixture(params=list(BUDGETS.values()), ids=list(BUDGETS))
+def budget(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(ad, "SCATTER_BLOCK", request.param)
+    return ad.SCATTER_BLOCK
+
+
+class TestScatterKernels:
+    """The bincount scatter must reproduce np.add.at bit for bit, in one block
+    or in several."""
+
+    def test_segment_sum_bit_identical(self, budget):
         for vals, ids, n in scatter_cases():
             got = ad.segment_sum(ad.const(vals), ids, n).values
-            assert np.array_equal(got, add_at_rows(vals, ids, n), equal_nan=True)
+            assert same_bits(got, add_at_rows(vals, ids, n))
 
-    def test_segment_mean_bit_identical(self):
+    def test_segment_mean_bit_identical(self, budget):
         for vals, ids, n in scatter_cases():
             got = ad.segment_mean(ad.const(vals), ids, n).values
             counts = np.bincount(ids, minlength=n).astype(np.float64)
             want = add_at_rows(vals, ids, n) / np.maximum(counts, 1.0)[:, None]
-            assert np.array_equal(got, want, equal_nan=True)
+            assert same_bits(got, want)
 
-    def test_gather_rows_vjp_bit_identical(self):
+    def test_gather_rows_vjp_bit_identical(self, budget):
         for upstream, idx, n in scatter_cases():
             tape = ad.Tape()
             a = tape.leaf(np.ones((n, upstream.shape[1])))
             loss = ad.sum_all(ad.mul(ad.gather_rows(a, idx), ad.const(upstream)))
             got = ad.backward(tape, loss)[a]
-            assert np.array_equal(got, add_at_rows(upstream, idx, n), equal_nan=True)
+            assert same_bits(got, add_at_rows(upstream, idx, n))
+
+    def test_small_budgets_split_the_cases_into_blocks(self, monkeypatch):
+        """The block widths each budget gives: one block at the default, a last
+        block narrower than the others, and width-1 blocks with more messages
+        than the budget holds."""
+        widths = []
+        block = ad._scatter_block
+
+        def spy(values, *rest):
+            widths.append(values.shape[1])
+            return block(values, *rest)
+
+        monkeypatch.setattr(ad, "_scatter_block", spy)
+        shapes = {}
+        for name, size in BUDGETS.items():
+            if size is not None:
+                monkeypatch.setattr(ad, "SCATTER_BLOCK", size)
+            shapes[name] = []
+            for vals, ids, n in scatter_cases():
+                widths.clear()
+                ad.segment_sum(ad.const(vals), ids, n)
+                shapes[name].append((ids.size, tuple(widths)))
+        assert all(len(w) == 1 for _, w in shapes["default"])
+        assert (3, (2, 2, 2, 1)) in shapes["budget7"]
+        assert (5, (1, 1, 1)) in shapes["budget4"]
+        assert (600, (6, 6, 6, 6, 6, 2)) in shapes["budget4096"]
+        assert (5000, (1,) * 32) in shapes["budget4096"]
 
 
 def message_passing_batches():
@@ -382,6 +436,66 @@ class TestFusedMessagePassing:
             run_gradcheck(lambda r, n=batch.num_nodes: [r.standard_normal((n, 3))],
                           lambda t, op=gcn_forms(batch)[0]: op(*t),
                           seeds=range(3 * i, 3 * i + 3))
+
+
+class TestBlockedMessagePassing:
+    """With the block budget patched down, each fused op scatters its edge
+    messages in column blocks; its value and VJPs still equal the unfused
+    chain's at the module's budget, where every batch here takes one block."""
+
+    @pytest.mark.parametrize("poisoned", [False, True], ids=["finite", "nan"])
+    @pytest.mark.parametrize("op", ["gin", "gcn"])
+    def test_blocked_equals_the_unblocked_chain(self, op, poisoned, monkeypatch):
+        rng = np.random.default_rng(5)
+        for batch in message_passing_batches():
+            # seven columns, one of them all -0.0
+            h = rng.standard_normal((batch.num_nodes, 7))
+            h[:, 3] = -0.0
+            if poisoned:
+                h[0, 5] = np.nan
+            fused, unfused = gin_forms(batch) if op == "gin" else gcn_forms(batch)
+            arrays = [h, np.asarray(0.3)] if op == "gin" else [h]
+            w = rng.standard_normal(h.shape)
+            e = batch.src.size
+            assert e * 7 <= ad.SCATTER_BLOCK
+            want_value, want_grads, _ = value_and_grads(unfused, arrays, w)
+            # width 1 (more edges than the budget), then 2 and 6: 2+2+2+1, 6+1
+            for size in (1, 2 * e, 6 * e):
+                with monkeypatch.context() as m:
+                    m.setattr(ad, "SCATTER_BLOCK", size)
+                    value, grads, _ = value_and_grads(fused, arrays, w)
+                assert same_bits(value, want_value)
+                for got, want in zip(grads, want_grads):
+                    assert same_bits(got, want)
+
+    def test_eval_batch_forward_memory_is_bounded_by_the_budget(self):
+        """One forward of each op on the benchmark's 500-graph batch at d = 32,
+        whose 30,102 directed edges take four blocks. Its traced peak may hold
+        three [n, d] arrays (the result and its two terms) and four block-sized
+        ones (the messages, their product with the edge weights, the int64
+        index and the product it is built from). Built whole, the [E, d]
+        messages and index made the traced peaks 20.5 MB (GIN) and 18.0 MB
+        (GCN)."""
+        dataset = generate_planted_motif_dataset(PlantedMotifSpec(seed=1), 500)
+        batch = batch_graphs(list(dataset.graphs))
+        n, d = batch.num_nodes, 32
+        assert batch.src.size * d > 3 * ad.SCATTER_BLOCK
+        h = ad.const(np.random.default_rng(0).standard_normal((n, d)))
+        edge_coef, self_coef = batch.gcn_coefs
+        eps = ad.const(0.1)
+        bound = 8 * (3 * n * d + 4 * ad.SCATTER_BLOCK)
+        forwards = {
+            "gin": lambda: ad.gin_aggregate(h, eps, batch.src, batch.dst),
+            "gcn": lambda: ad.gcn_propagate(h, batch.src, batch.dst, edge_coef, self_coef),
+        }
+        for name, forward in forwards.items():
+            tracemalloc.start()
+            try:
+                forward()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, f"{name}: traced peak {peak} B, bound {bound} B"
 
 
 def affine_forms(relu):

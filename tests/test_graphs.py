@@ -57,6 +57,25 @@ class TestGraph:
         g = Graph(node_features=np.ones((1, 2)), edges=np.zeros((0, 2)))
         assert g.num_nodes == 1 and g.num_edges == 0
 
+    @pytest.mark.parametrize("edges", [[[0, 1.7]], [[True, False]], [0, 1, 1, 2], [[0, 1, 2]]],
+                             ids=["float", "bool", "flat", "triples"])
+    def test_non_integer_or_non_pair_edges_rejected(self, edges):
+        with pytest.raises(ValueError, match=r"\[E, 2\] list of integers"):
+            Graph(node_features=np.ones((3, 1)), edges=edges)
+
+    @pytest.mark.parametrize("edges", [[], np.zeros((0, 2))], ids=["list", "float-array"])
+    def test_empty_edges_are_legal(self, edges):
+        g = Graph(node_features=np.ones((2, 1)), edges=edges)
+        assert g.edges.shape == (0, 2) and g.edges.dtype == np.int64
+
+    def test_edges_are_kept_as_given(self):
+        """The constructor checks but does not canonicalise: no reverse edges,
+        no sort, and an int64 array is stored without a copy."""
+        edges = np.array([[2, 0], [0, 1]])
+        g = Graph(node_features=np.ones((3, 1)), edges=edges)
+        assert g.edges is edges
+        assert Graph(node_features=np.ones((3, 1)), edges=[[2, 0]]).edges.tolist() == [[2, 0]]
+
 
 class TestCanonicalEdges:
     @pytest.mark.parametrize("seed", range(4))

@@ -138,6 +138,27 @@ def check_edges(edges, num_nodes: int) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def check_rationale_mask(mask, num_nodes: int) -> np.ndarray:
+    """``mask`` as a bool [num_nodes] array (no copy when it already is one).
+
+    ``mask`` must hold one bool, or one integer 0 or 1, per node; a float or
+    string entry, another integer, or any other shape raises
+    :class:`GraphFormatError`.
+    """
+    try:
+        arr = np.asarray(mask)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise GraphFormatError(f"rationale mask must be a list of bools: {exc}") from exc
+    if arr.shape != (num_nodes,) or arr.dtype.kind not in "biu" or (
+        arr.dtype.kind != "b" and not ((arr == 0) | (arr == 1)).all()
+    ):
+        raise GraphFormatError(
+            f"rationale mask must hold one bool (or 0/1) per node of {num_nodes}, "
+            f"got {arr.dtype} values of shape {arr.shape}"
+        )
+    return arr.astype(bool, copy=False)
+
+
 def canonical_edges(edges, num_nodes: int) -> np.ndarray:
     """Validate an edge list with :func:`check_edges`, add every reverse edge,
     deduplicate, and sort.
@@ -160,7 +181,7 @@ class Graph:
     ``ValueError``, otherwise).
 
     ``rationale_mask`` (optional) marks ground-truth salient nodes for
-    benchmarks that plant them.
+    benchmarks that plant them, and must pass :func:`check_rationale_mask`.
     """
 
     node_features: np.ndarray
@@ -175,10 +196,9 @@ class Graph:
         object.__setattr__(self, "node_features", x)
         object.__setattr__(self, "edges", check_edges(self.edges, x.shape[0]))
         if self.rationale_mask is not None:
-            m = np.asarray(self.rationale_mask, dtype=bool).reshape(-1)
-            if m.shape[0] != x.shape[0]:
-                raise ValueError("rationale_mask length must equal the node count")
-            object.__setattr__(self, "rationale_mask", m)
+            object.__setattr__(
+                self, "rationale_mask", check_rationale_mask(self.rationale_mask, x.shape[0])
+            )
 
     @property
     def num_nodes(self) -> int:
@@ -356,11 +376,7 @@ def dataset_from_json(obj: dict) -> GraphDataset:
                     node_features=x,
                     edges=edges,
                     label=require_int("y", item["y"]) if "y" in item else None,
-                    rationale_mask=(
-                        np.asarray(item["rationale"], dtype=bool)
-                        if "rationale" in item
-                        else None
-                    ),
+                    rationale_mask=item.get("rationale"),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:

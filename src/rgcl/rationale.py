@@ -22,9 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .encoder import EncoderConfig, EncoderParams, mlp_forward, node_embeddings
-from .graphs import Graph, induced_subgraph
-# perfbench's tracer wraps rgcl.rationale.batch_graphs, so the name stays importable here
-from .graphs import batch_graphs  # noqa: F401
+from .graphs import Graph, GraphBatch, batch_graphs, induced_subgraph
 from .params import lift_params
 
 # Sampling weights (and complement attribution values) are clamped into this
@@ -142,9 +140,26 @@ def complement_from_kept(g: Graph, scores: AttributionScores, kept: np.ndarray) 
     still carries a usable weight.
     """
     view = rationale_from_kept(g, scores, kept)
-    ones = ad.const(np.ones((kept.size, 1)))
-    view.attribution = ad.clip(ad.sub(ones, view.attribution), WEIGHT_FLOOR, WEIGHT_CEIL)
+    view.attribution = _complement(view.attribution)
     return view
+
+
+def _complement(attribution: Tensor) -> Tensor:
+    ones = ad.const(np.ones((attribution.shape[0], 1)))
+    return ad.clip(ad.sub(ones, attribution), WEIGHT_FLOOR, WEIGHT_CEIL)
+
+
+def view_tower(
+    graphs: list[Graph], probs: Tensor, kept: list[np.ndarray], complement: bool = False
+) -> tuple[GraphBatch, Tensor]:
+    """The subgraphs induced on each graph's ``kept`` nodes, batched, and their
+    attribution column: one ``gather_rows`` from ``probs``, the graphs' [n, 1]
+    probabilities stacked in graph order, then 1 - p for a ``complement`` tower."""
+    sizes = np.array([g.num_nodes for g in graphs])
+    index = np.concatenate([k + off for k, off in zip(kept, np.cumsum(sizes) - sizes)])
+    batch = batch_graphs([induced_subgraph(g, k) for g, k in zip(graphs, kept)])
+    attribution = ad.gather_rows(probs, index)
+    return batch, _complement(attribution) if complement else attribution
 
 
 def sample_rationale(

@@ -36,7 +36,7 @@ from .encoder import (
     init_params,
 )
 from .graphs import (
-    Graph, GraphDataset, batch_graphs, check_field_types, make_dirs, read_json_object,
+    Graph, GraphDataset, check_field_types, make_dirs, read_json_object,
     require_int, require_object, write_text_atomic,
 )
 from .losses import BatchViews, LossReport, project, rgcl_loss
@@ -46,13 +46,13 @@ from .rationale import (
     WEIGHT_FLOOR,
     AttributionScores,
     attribute_nodes,
-    complement_from_kept,
-    rationale_from_kept,
     uniform_scores,
     view_size,
+    view_tower,
 )
-# perfbench's tracer wraps rgcl.training.gumbel_top_k, so the name stays importable here
-from .rationale import gumbel_top_k  # noqa: F401
+# perfbench's tracer wraps rgcl.training.<name> for these, so the names stay importable here
+from .graphs import batch_graphs  # noqa: F401
+from .rationale import complement_from_kept, gumbel_top_k, rationale_from_kept  # noqa: F401
 
 CHECKPOINT_VERSION = 2
 ADAM_DECAYS = (0.9, 0.999)
@@ -314,7 +314,10 @@ def encode_views(
     """The differentiable view forward given frozen selections, one per graph.
 
     Parameters may be raw arrays (value-only evaluation) or tape-lifted
-    tensors (training).
+    tensors (training). The graphs' probabilities are stacked into one
+    column, and each tower gathers its attribution from it in one op. The
+    selections carry complements exactly when the variant has a complement
+    tower (every variant but ``no_independence``).
     """
     variant = normalize_variant(variant)
     if len(selections) != len(graphs):
@@ -322,27 +325,28 @@ def encode_views(
             f"encode_views needs one selection per graph, got {len(graphs)} graphs "
             f"and {len(selections)} selections"
         )
+    with_c = {sel.c is not None for sel in selections}
+    wants_c = variant != "no_independence"
+    if len(with_c) > 1:
+        raise ValueError("some selections carry a complement and others do not")
+    if with_c and with_c != {wants_c}:
+        raise ValueError(
+            f"variant {variant} {'needs' if wants_c else 'takes no'} complement selections"
+        )
     gen_cfg = config.generator_config()
     enc_cfg = config.encoder_config()
     generator = lift_params(generator, None)
-    r1_views, r2_views, c_views = [], [], []
-    for g, sel in zip(graphs, selections):
-        scores = _node_scores(g, generator, gen_cfg, variant)
-        r1_views.append(rationale_from_kept(g, scores, sel.r1))
-        r2_views.append(rationale_from_kept(g, scores, sel.r2))
-        if sel.c is not None:
-            c_views.append(complement_from_kept(g, scores, sel.c))
+    probs = ad.concat_rows([_node_scores(g, generator, gen_cfg, variant).probs for g in graphs])
 
-    def tower(view_list):
-        batch = batch_graphs([v.subgraph for v in view_list])
-        attribution = ad.concat_rows([v.attribution for v in view_list])
+    def tower(kept, complement=False):
+        batch, attribution = view_tower(graphs, probs, kept, complement)
         pooled = encode_graph(batch, encoder, enc_cfg, attribution=attribution)
         return project(pooled, projector)
 
     return BatchViews(
-        r1=tower(r1_views),
-        r2=tower(r2_views),
-        c=tower(c_views) if c_views else None,
+        r1=tower([sel.r1 for sel in selections]),
+        r2=tower([sel.r2 for sel in selections]),
+        c=tower([sel.c for sel in selections], complement=True) if wants_c else None,
     )
 
 

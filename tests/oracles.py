@@ -3,9 +3,9 @@
 Everything here is written the slow, obvious way (dense matrices, explicit
 enumeration, arbitrary-precision arithmetic) and deliberately shares no code
 with ``rgcl`` itself. The exceptions are the unfused chains of the fused
-ops, built from the package's elementary tape ops, and Phase A drawn one
-``gumbel_top_k`` call per view: the fused and batched forms must match
-exactly those, bit for bit.
+ops, built from the package's elementary tape ops, Phase A drawn one
+``gumbel_top_k`` call per view, and the view forward built view by view:
+the fused and batched forms must match exactly those, bit for bit.
 """
 
 from __future__ import annotations
@@ -136,6 +136,45 @@ def sample_selections_per_view(graphs, generator, config, rng, variant="full"):
         c = None if variant == "no_independence" else gumbel_top_k(1.0 - p, k, child)
         out.append((r1, r2, c))
     return out
+
+
+def encode_views_per_view(graphs, selections, encoder, generator, projector, config,
+                          variant="full"):
+    """``training.encode_views`` built view by view: each graph's scores, one
+    ``rationale_from_kept`` (or ``complement_from_kept``) view per selection,
+    then per tower one ``batch_graphs`` of the subgraphs and one
+    ``concat_rows`` of the views' attribution rows."""
+    import rgcl.autodiff as ad
+    from rgcl.encoder import encode_graph
+    from rgcl.graphs import batch_graphs
+    from rgcl.losses import BatchViews, project
+    from rgcl.params import lift_params
+    from rgcl.rationale import (
+        attribute_nodes, complement_from_kept, rationale_from_kept, uniform_scores,
+    )
+    from rgcl.training import normalize_variant
+
+    variant = normalize_variant(variant)
+    generator = lift_params(generator, None)
+    r1_views, r2_views, c_views = [], [], []
+    for g, sel in zip(graphs, selections):
+        if variant == "no_rationale_views":
+            scores = uniform_scores(g)
+        else:
+            scores = attribute_nodes(g, generator, config.generator_config())
+        r1_views.append(rationale_from_kept(g, scores, sel.r1))
+        r2_views.append(rationale_from_kept(g, scores, sel.r2))
+        if sel.c is not None:
+            c_views.append(complement_from_kept(g, scores, sel.c))
+
+    def tower(views):
+        batch = batch_graphs([v.subgraph for v in views])
+        attribution = ad.concat_rows([v.attribution for v in views])
+        pooled = encode_graph(batch, encoder, config.encoder_config(), attribution=attribution)
+        return project(pooled, projector)
+
+    return BatchViews(r1=tower(r1_views), r2=tower(r2_views),
+                      c=tower(c_views) if c_views else None)
 
 
 def gcn_coefs_fresh(edges, num_nodes):

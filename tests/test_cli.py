@@ -317,6 +317,15 @@ class TestDataErrors:
         assert main(["pretrain", "--config", config_path]) == 3
         assert "graph 2: edges must be an [E, 2] list of integers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", ["no", 0.5], ids=["string", "float"])
+    def test_bad_rationale_mask_exits_3(self, workspace, capsys, entry):
+        tmp, config_path, data_path = workspace
+        payload = json.loads(data_path.read_text())
+        payload["graphs"][2]["rationale"][0] = entry
+        data_path.write_text(json.dumps(payload))
+        assert main(["pretrain", "--config", config_path]) == 3
+        assert "graph 2: rationale mask must" in capsys.readouterr().err
+
     @pytest.mark.parametrize("case", ["graphs-not-a-list", "feature-dim-string", "mixed-widths"])
     def test_malformed_dataset_json_exits_3(self, workspace, capsys, case):
         tmp, config_path, data_path = workspace

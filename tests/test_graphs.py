@@ -53,6 +53,21 @@ class TestGraph:
             Graph(node_features=np.ones((3, 1)), edges=np.zeros((0, 2)),
                   rationale_mask=np.array([True, False]))
 
+    @pytest.mark.parametrize(
+        "mask", [[0.3, 0.0, 0.0, 1.0], ["no", "", "", ""], [[1, 0], [0, 1]], [2, 0, 0, 1],
+                 [True, False], [[True], [False, True]]],
+        ids=["float", "string", "2-d", "two", "short", "ragged"],
+    )
+    def test_rationale_mask_must_hold_a_bool_per_node(self, mask):
+        with pytest.raises(GraphFormatError, match="rationale mask must"):
+            Graph(node_features=np.ones((4, 1)), edges=[], rationale_mask=mask)
+
+    def test_rationale_mask_of_bools_or_zero_one_integers(self):
+        mask = np.array([True, False, True])
+        assert Graph(node_features=np.ones((3, 1)), edges=[], rationale_mask=mask).rationale_mask is mask
+        g = Graph(node_features=np.ones((3, 1)), edges=[], rationale_mask=[1, 0, 1])
+        assert g.rationale_mask.dtype == bool and g.rationale_mask.tolist() == [True, False, True]
+
     def test_single_node_graph_is_legal(self):
         g = Graph(node_features=np.ones((1, 2)), edges=np.zeros((0, 2)))
         assert g.num_nodes == 1 and g.num_edges == 0
@@ -275,6 +290,13 @@ class TestJsonInterchange:
         obj = {"graphs": [{"x": [[1.0]]}, {"x": [[1.0], [1.0], [1.0]], "edges": edges}],
                "feature_dim": 1}
         with pytest.raises(GraphFormatError, match="graph 1: edges must be"):
+            dataset_from_json(obj)
+
+    def test_bad_rationale_mask_names_the_graph(self):
+        obj = {"graphs": [{"x": [[1.0], [1.0]], "rationale": [True, False]},
+                          {"x": [[1.0], [1.0]], "rationale": ["no", 0.5]}],
+               "feature_dim": 1}
+        with pytest.raises(GraphFormatError, match="graph 1: rationale mask must"):
             dataset_from_json(obj)
 
     @pytest.mark.parametrize("label", [1.7, True])

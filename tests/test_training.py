@@ -11,10 +11,19 @@ import pytest
 
 import rgcl.autodiff as ad
 import rgcl.graphs as rgcl_graphs
-from oracles import finite_difference, jitter_params, max_rel_err, sample_selections_per_view
+from oracles import (
+    encode_views_per_view,
+    finite_difference,
+    jitter_params,
+    max_rel_err,
+    sample_selections_per_view,
+)
 from rgcl.datasets import PlantedMotifSpec, generate_planted_motif_dataset
+from rgcl.losses import rgcl_loss
+from rgcl.rationale import attribute_nodes
 from rgcl.training import (
     CheckpointFormatError,
+    FrozenSelection,
     TrainConfig,
     adam_update,
     batch_views_loss,
@@ -387,6 +396,108 @@ class TestBatchedSelection:
         sel = sample_selections(graphs[:5], state.generator, cfg, np.random.default_rng(0))
         with pytest.raises(ValueError, match="8 graphs and 5 selections"):
             encode_views(graphs, sel, state.encoder, state.generator, state.projector, cfg)
+
+
+class TestViewTowers:
+    """``encode_views`` stacks the anchors' probabilities into one column and
+    gathers each tower's attribution from it in one op; it equals the view by
+    view forward of ``tests/oracles.py`` bit for bit."""
+
+    SWAPPED = dict(encoder_gnn="gcn", generator_gnn="gin", pooling="mean")
+
+    @staticmethod
+    def anchors(dataset, n):
+        """``n`` anchors cycling through the dataset, the last a one-node graph."""
+        lone = rgcl_graphs.Graph(node_features=np.full((1, dataset.feature_dim), 0.5), edges=[])
+        return [dataset[i % len(dataset)] for i in range(n - 1)] + [lone]
+
+    @staticmethod
+    def forward_backward(encode, graphs, selections, state, cfg, variant):
+        """The view rows and every leaf gradient of the loss on a fresh tape."""
+        tape = ad.Tape()
+        lifted = lift_params(state.params, tape)
+        views = encode(graphs, selections, lifted.encoder, lifted.generator, lifted.projector,
+                       cfg, variant)
+        total, _ = rgcl_loss(views, cfg.tau, cfg.lam)
+        store = ad.backward(tape, total)
+        rows = [t.values for t in (views.r1, views.r2, views.c) if t is not None]
+        return rows, {k: store[t] for k, t in named_leaves(lifted).items()}
+
+    @pytest.mark.parametrize("config", ["default", "swapped"])
+    @pytest.mark.parametrize("variant", ["full", "no_rv", "no_i"])
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    @pytest.mark.parametrize("rho", [0.3, 1.0])
+    def test_equals_the_per_view_forward_bit_for_bit(self, small_dataset, config, variant, n,
+                                                     rho):
+        cfg = tiny_config(rho=rho, **(self.SWAPPED if config == "swapped" else {}))
+        state = init_train_state(cfg, small_dataset.feature_dim)
+        jitter_params(state.generator, n)
+        graphs = self.anchors(small_dataset, n)
+        selections = sample_selections(graphs, state.generator, cfg, np.random.default_rng(n),
+                                       variant)
+        got_rows, got_grads = self.forward_backward(encode_views, graphs, selections, state,
+                                                    cfg, variant)
+        want_rows, want_grads = self.forward_backward(encode_views_per_view, graphs, selections,
+                                                      state, cfg, variant)
+        assert len(got_rows) == len(want_rows) == (2 if variant == "no_i" else 3)
+        for a, b in zip(got_rows, want_rows):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert got_grads.keys() == want_grads.keys()
+        for name, g in got_grads.items():
+            assert g.shape == want_grads[name].shape and g.tobytes() == want_grads[name].tobytes(), name
+
+    @pytest.mark.parametrize("variant", ["full", "no_i"])
+    def test_only_the_scorer_records_grow_with_the_batch(self, small_dataset, variant):
+        """Six records per scored anchor; the rest of the view forward records
+        a fixed count: one ``concat_rows``, one ``gather_rows`` per tower, the
+        complement's ``sub`` and ``clip``, and each tower's encoder and
+        projector."""
+        cfg = TrainConfig()
+        state = init_train_state(cfg, small_dataset.feature_dim)
+        tape = ad.Tape()
+        attribute_nodes(small_dataset[0], lift_params(state.generator, tape),
+                        cfg.generator_config())
+        assert tape.num_records == 6
+        fixed = set()
+        for n in (2, 8, 32):
+            graphs = self.anchors(small_dataset, n)
+            sel = sample_selections(graphs, state.generator, cfg, np.random.default_rng(0),
+                                    variant)
+            tape = ad.Tape()
+            lifted = lift_params(state.params, tape)
+            encode_views(graphs, sel, lifted.encoder, lifted.generator, lifted.projector, cfg,
+                         variant)
+            fixed.add(tape.num_records - 6 * n)
+        # per tower: 13 encoder records (three GIN layers, pooling) and 3 projector records
+        towers = 3 if variant == "full" else 2
+        assert fixed == {1 + towers * (1 + 13 + 3) + (2 if variant == "full" else 0)}
+
+    def test_selections_must_agree_on_a_complement(self, small_dataset):
+        """A batch mixing selections with and without a complement used to
+        fail with a shape error inside ``BatchViews``."""
+        cfg = tiny_config()
+        state = init_train_state(cfg, small_dataset.feature_dim)
+        graphs = [small_dataset[i] for i in range(4)]
+        sel = sample_selections(graphs, state.generator, cfg, np.random.default_rng(0))
+        sel[2] = FrozenSelection(r1=sel[2].r1, r2=sel[2].r2, c=None)
+        with pytest.raises(ValueError, match="some selections carry a complement"):
+            encode_views(graphs, sel, state.encoder, state.generator, state.projector, cfg)
+
+    @pytest.mark.parametrize("variant, drawn, message", [
+        ("no_i", "full", "variant no_independence takes no complement"),
+        ("full", "no_i", "variant full needs complement"),
+        ("no_rv", "no_i", "variant no_rationale_views needs complement"),
+    ])
+    def test_complements_must_match_the_variant(self, small_dataset, variant, drawn, message):
+        """``no_i`` given complements used to train the independence term, and
+        ``full`` without them silently dropped it."""
+        cfg = tiny_config()
+        state = init_train_state(cfg, small_dataset.feature_dim)
+        graphs = [small_dataset[i] for i in range(4)]
+        sel = sample_selections(graphs, state.generator, cfg, np.random.default_rng(0), drawn)
+        with pytest.raises(ValueError, match=message):
+            batch_views_loss(graphs, sel, state.encoder, state.generator, state.projector, cfg,
+                             variant)
 
 
 class TestFullPipelineGradient:

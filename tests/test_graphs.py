@@ -64,7 +64,8 @@ class TestGraph:
 
     def test_rationale_mask_of_bools_or_zero_one_integers(self):
         mask = np.array([True, False, True])
-        assert Graph(node_features=np.ones((3, 1)), edges=[], rationale_mask=mask).rationale_mask is mask
+        g = Graph(node_features=np.ones((3, 1)), edges=[], rationale_mask=mask)
+        assert g.rationale_mask is mask
         g = Graph(node_features=np.ones((3, 1)), edges=[], rationale_mask=[1, 0, 1])
         assert g.rationale_mask.dtype == bool and g.rationale_mask.tolist() == [True, False, True]
 

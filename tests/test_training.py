@@ -444,7 +444,8 @@ class TestViewTowers:
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         assert got_grads.keys() == want_grads.keys()
         for name, g in got_grads.items():
-            assert g.shape == want_grads[name].shape and g.tobytes() == want_grads[name].tobytes(), name
+            want = want_grads[name]
+            assert g.shape == want.shape and g.tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("variant", ["full", "no_i"])
     def test_only_the_scorer_records_grow_with_the_batch(self, small_dataset, variant):

@@ -29,7 +29,11 @@ It covers:
   ``embed_graphs`` embeddings and the two ``view_similarities`` mean cosines
   (views drawn from the config's seed), as ``eval-planted`` computes them.
   Their 500-graph batches are the ones large enough to scatter edge messages
-  in several column blocks.
+  in several column blocks;
+* with that state's scorer, one ``sample_rationale`` and one
+  ``sample_complement`` view of each of the first four of those graphs at
+  rho 0.3 and 1.0, each drawn from ``default_rng(graph index)``: the kept
+  nodes, the subgraph's arrays and the attribution bytes, in one digest.
 
 The script and ``tests/oracles.py`` come from this checkout; only the package
 comes from ``PYTHONPATH``. A run takes a few seconds.
@@ -56,6 +60,7 @@ from rgcl.datasets import (  # noqa: E402
 )
 from rgcl.evaluation import embed_graphs, view_similarities  # noqa: E402
 from rgcl.graphs import dataset_hash  # noqa: E402
+from rgcl.rationale import attribute_nodes, sample_complement, sample_rationale  # noqa: E402
 from rgcl.training import TrainConfig, pretrain  # noqa: E402
 
 # (run name, variant, TrainConfig fields set on top of seed=1, epochs=2)
@@ -72,8 +77,11 @@ def digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def array_digest(values: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+def array_digest(*arrays: np.ndarray) -> str:
+    h = hashlib.sha256()
+    for values in arrays:
+        h.update(np.ascontiguousarray(values).tobytes())
+    return h.hexdigest()
 
 
 def run(argv: list[str]) -> str:
@@ -128,6 +136,16 @@ def fingerprint(tmp: Path) -> list[str]:
     cosines = np.array(view_similarities(bench, state, config, sample_seed=config.seed))
     lines.append(f"planted/seed1-500/embed_graphs {array_digest(emb)}")
     lines.append(f"planted/seed1-500/view_similarities {array_digest(cosines)}")
+    for i, g in enumerate(bench.graphs[:4]):
+        scores = attribute_nodes(g, state.generator, config.generator_config())
+        for sample in (sample_rationale, sample_complement):
+            for rho in (0.3, 1.0):
+                view = sample(g, scores, rho, np.random.default_rng(i))
+                sub = view.subgraph
+                parts = (view.kept, sub.node_features, sub.edges, sub.rationale_mask,
+                         view.attribution.values)
+                name = f"planted/seed1-500/{i}/{sample.__name__}/rho{rho}"
+                lines.append(f"{name} {array_digest(*parts)}")
     return lines
 
 

@@ -175,6 +175,8 @@ class PlantedMotifSpec:
             raise ValueError("noise_std must be >= 0")
         if not 0.0 <= self.edge_prob_background <= 1.0:
             raise ValueError("edge_prob_background must be in [0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _motif_edges(label: int, k: int) -> np.ndarray:

@@ -22,8 +22,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .encoder import EncoderConfig, EncoderParams, mlp_forward, node_embeddings
-from .graphs import Graph, GraphBatch, batch_graphs, induced_subgraph
+from .graphs import Graph, induced_subgraph
 from .params import lift_params
+# perfbench's tracer wraps rgcl.rationale.<name> for this, so the name stays importable here
+from .graphs import batch_graphs  # noqa: F401
 
 # Sampling weights (and complement attribution values) are clamped into this
 # open interval before taking logs, so a saturated softmax cannot produce
@@ -118,19 +120,13 @@ def top_k_nodes(scores: np.ndarray, k: int) -> np.ndarray:
     return np.lexsort((np.arange(scores.size), -scores))[:k]
 
 
-def rationale_from_kept(g: Graph, scores: AttributionScores, kept: np.ndarray) -> View:
-    """Assemble a rationale view for an already-chosen node set.
-
-    The attribution rows are gathered straight from ``scores``, so gradient
-    flows back into the scorer whenever the scores live on a tape.
-    """
-    if scores.num_nodes != g.num_nodes:
-        raise ValueError("scores and graph disagree on node count")
-    return View(
-        subgraph=induced_subgraph(g, kept),
-        kept=kept,
-        attribution=ad.gather_rows(scores.probs, kept),
-    )
+def rationale_from_kept(
+    g: Graph, scores: AttributionScores, kept: np.ndarray, complement: bool = False
+) -> View:
+    """The view of ``g`` on an already-chosen node set, cut by a one-graph
+    :func:`view_tower`; gradient reaches the scorer when ``scores`` are taped."""
+    [subgraph], attribution = view_tower([g], scores.probs, [kept], complement)
+    return View(subgraph=subgraph, kept=kept, attribution=attribution)
 
 
 def complement_from_kept(g: Graph, scores: AttributionScores, kept: np.ndarray) -> View:
@@ -139,27 +135,29 @@ def complement_from_kept(g: Graph, scores: AttributionScores, kept: np.ndarray) 
     The weights are clamped into (0, 1) so a single-node graph (p = 1)
     still carries a usable weight.
     """
-    view = rationale_from_kept(g, scores, kept)
-    view.attribution = _complement(view.attribution)
-    return view
-
-
-def _complement(attribution: Tensor) -> Tensor:
-    ones = ad.const(np.ones((attribution.shape[0], 1)))
-    return ad.clip(ad.sub(ones, attribution), WEIGHT_FLOOR, WEIGHT_CEIL)
+    return rationale_from_kept(g, scores, kept, complement=True)
 
 
 def view_tower(
     graphs: list[Graph], probs: Tensor, kept: list[np.ndarray], complement: bool = False
-) -> tuple[GraphBatch, Tensor]:
-    """The subgraphs induced on each graph's ``kept`` nodes, batched, and their
-    attribution column: one ``gather_rows`` from ``probs``, the graphs' [n, 1]
-    probabilities stacked in graph order, then 1 - p for a ``complement`` tower."""
+) -> tuple[list[Graph], Tensor]:
+    """The one view cutter: the subgraphs induced on each graph's ``kept``
+    nodes and their attribution column, one ``gather_rows`` from ``probs`` (the
+    graphs' [n, 1] probabilities stacked in graph order), then 1 - p clamped into
+    (0, 1) for a ``complement`` tower. Each ``kept`` must be strictly ascending,
+    the order of the subgraph's nodes, so attribution row i is node i's."""
     sizes = np.array([g.num_nodes for g in graphs])
+    if probs.shape[0] != sizes.sum():
+        raise ValueError(f"probs has {probs.shape[0]} rows for {sizes.sum()} graph nodes")
     index = np.concatenate([k + off for k, off in zip(kept, np.cumsum(sizes) - sizes)])
-    batch = batch_graphs([induced_subgraph(g, k) for g, k in zip(graphs, kept)])
+    subgraphs = [induced_subgraph(g, k) for g, k in zip(graphs, kept, strict=True)]
+    if not (np.diff(index) > 0).all():
+        raise ValueError("kept node indices must be strictly ascending within each graph")
     attribution = ad.gather_rows(probs, index)
-    return batch, _complement(attribution) if complement else attribution
+    if complement:
+        ones = ad.const(np.ones((attribution.shape[0], 1)))
+        attribution = ad.clip(ad.sub(ones, attribution), WEIGHT_FLOOR, WEIGHT_CEIL)
+    return subgraphs, attribution
 
 
 def sample_rationale(

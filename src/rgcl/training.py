@@ -36,7 +36,7 @@ from .encoder import (
     init_params,
 )
 from .graphs import (
-    Graph, GraphDataset, check_field_types, make_dirs, read_json_object,
+    Graph, GraphDataset, batch_graphs, check_field_types, make_dirs, read_json_object,
     require_int, require_object, write_text_atomic,
 )
 from .losses import BatchViews, LossReport, project, rgcl_loss
@@ -51,7 +51,6 @@ from .rationale import (
     view_tower,
 )
 # perfbench's tracer wraps rgcl.training.<name> for these, so the names stay importable here
-from .graphs import batch_graphs  # noqa: F401
 from .rationale import complement_from_kept, gumbel_top_k, rationale_from_kept  # noqa: F401
 
 CHECKPOINT_VERSION = 2
@@ -116,6 +115,8 @@ class TrainConfig:
             fail("tau", "must be > 0")
         if self.lam < 0:
             fail("lam", "must be >= 0")
+        if self.seed < 0:
+            fail("seed", "must be >= 0")
         if not 0.0 < self.rho <= 1.0:
             fail("rho", "must be in (0, 1]")
         if self.checkpoint_every < 1:
@@ -234,13 +235,14 @@ def adam_update(
     return new_p, new_m, new_v
 
 
-@dataclass
-class FrozenSelection:
-    """Discrete node choices for one anchor, fixed before the tape forward."""
+@dataclass(frozen=True)
+class Selections:
+    """Phase A's node choices, fixed before the tape forward: per tower, one
+    ascending index array per anchor (``c`` is None without complements)."""
 
-    r1: np.ndarray
-    r2: np.ndarray
-    c: np.ndarray | None
+    r1: list[np.ndarray]
+    r2: list[np.ndarray]
+    c: list[np.ndarray] | None = None
 
 
 def _node_scores(
@@ -257,7 +259,7 @@ def sample_selections(
     config: TrainConfig,
     rng: np.random.Generator,
     variant: str = "full",
-) -> list[FrozenSelection]:
+) -> Selections:
     """Phase A: draw all node selections for a batch.
 
     Each anchor gets its own child generator split from the supplied
@@ -296,40 +298,33 @@ def sample_selections(
     kept[order[np.arange(keys.size) - starts[seg] < seg_ks[seg]]] = True
     flat = np.flatnonzero(kept)  # ascending: segment by segment, node by node
     nodes = np.split(flat - starts[seg[flat]], np.cumsum(seg_ks)[:-1])
-    return [
-        FrozenSelection(r1=nodes[v], r2=nodes[v + 1], c=nodes[v + 2] if num_views == 3 else None)
-        for v in range(0, len(nodes), num_views)
-    ]
+    return Selections(*(nodes[v::num_views] for v in range(num_views)))
 
 
 def encode_views(
     graphs: list[Graph],
-    selections: list[FrozenSelection],
+    selections: Selections,
     encoder: EncoderParams,
     generator: EncoderParams,
     projector: MlpParams,
     config: TrainConfig,
     variant: str = "full",
 ) -> BatchViews:
-    """The differentiable view forward given frozen selections, one per graph.
+    """The differentiable view forward given frozen selections.
 
     Parameters may be raw arrays (value-only evaluation) or tape-lifted
     tensors (training). The graphs' probabilities are stacked into one
-    column, and each tower gathers its attribution from it in one op. The
-    selections carry complements exactly when the variant has a complement
-    tower (every variant but ``no_independence``).
+    column, and :func:`rationale.view_tower` cuts the towers from it in the
+    order r1, r2, c, which fixes the order of their tape records. ``c`` is
+    drawn exactly when the variant has it (every variant but ``no_independence``).
     """
     variant = normalize_variant(variant)
-    if len(selections) != len(graphs):
-        raise ValueError(
-            f"encode_views needs one selection per graph, got {len(graphs)} graphs "
-            f"and {len(selections)} selections"
-        )
-    with_c = {sel.c is not None for sel in selections}
+    for kept in (selections.r1, selections.r2, selections.c):
+        if kept is not None and len(kept) != len(graphs):
+            raise ValueError(f"encode_views needs one selection per graph in each tower, "
+                             f"got {len(graphs)} graphs and {len(kept)} selections")
     wants_c = variant != "no_independence"
-    if len(with_c) > 1:
-        raise ValueError("some selections carry a complement and others do not")
-    if with_c and with_c != {wants_c}:
+    if (selections.c is not None) != wants_c:
         raise ValueError(
             f"variant {variant} {'needs' if wants_c else 'takes no'} complement selections"
         )
@@ -339,20 +334,17 @@ def encode_views(
     probs = ad.concat_rows([_node_scores(g, generator, gen_cfg, variant).probs for g in graphs])
 
     def tower(kept, complement=False):
-        batch, attribution = view_tower(graphs, probs, kept, complement)
-        pooled = encode_graph(batch, encoder, enc_cfg, attribution=attribution)
+        subgraphs, attribution = view_tower(graphs, probs, kept, complement)
+        pooled = encode_graph(batch_graphs(subgraphs), encoder, enc_cfg, attribution=attribution)
         return project(pooled, projector)
 
-    return BatchViews(
-        r1=tower([sel.r1 for sel in selections]),
-        r2=tower([sel.r2 for sel in selections]),
-        c=tower([sel.c for sel in selections], complement=True) if wants_c else None,
-    )
+    return BatchViews(tower(selections.r1), tower(selections.r2),
+                      tower(selections.c, complement=True) if wants_c else None)
 
 
 def batch_views_loss(
     graphs: list[Graph],
-    selections: list[FrozenSelection],
+    selections: Selections,
     encoder: EncoderParams,
     generator: EncoderParams,
     projector: MlpParams,

@@ -4,8 +4,9 @@ Everything here is written the slow, obvious way (dense matrices, explicit
 enumeration, arbitrary-precision arithmetic) and deliberately shares no code
 with ``rgcl`` itself. The exceptions are the unfused chains of the fused
 ops, built from the package's elementary tape ops, Phase A drawn one
-``gumbel_top_k`` call per view, and the view forward built view by view:
-the fused and batched forms must match exactly those, bit for bit.
+``gumbel_top_k`` call per view, and each view cut by hand from
+``induced_subgraph`` and elementary tape ops: the fused and batched forms
+must match exactly those, bit for bit.
 """
 
 from __future__ import annotations
@@ -138,43 +139,54 @@ def sample_selections_per_view(graphs, generator, config, rng, variant="full"):
     return out
 
 
+def view_per_view(g, scores, kept, complement=False):
+    """One view cut by hand: ``induced_subgraph`` on the kept nodes and one
+    ``gather_rows`` of their probabilities, then ``sub`` + ``clip`` for the
+    clamped 1 - p of a complement view. Returns ``(subgraph, attribution)``."""
+    import rgcl.autodiff as ad
+    from rgcl.graphs import induced_subgraph
+    from rgcl.rationale import WEIGHT_CEIL, WEIGHT_FLOOR
+
+    rows = ad.gather_rows(scores.probs, kept)
+    if complement:
+        ones = ad.const(np.ones((rows.shape[0], 1)))
+        rows = ad.clip(ad.sub(ones, rows), WEIGHT_FLOOR, WEIGHT_CEIL)
+    return induced_subgraph(g, kept), rows
+
+
 def encode_views_per_view(graphs, selections, encoder, generator, projector, config,
                           variant="full"):
     """``training.encode_views`` built view by view: each graph's scores, one
-    ``rationale_from_kept`` (or ``complement_from_kept``) view per selection,
-    then per tower one ``batch_graphs`` of the subgraphs and one
-    ``concat_rows`` of the views' attribution rows."""
+    :func:`view_per_view` per selection (the c tower's as complements), then
+    per tower one ``batch_graphs`` of the subgraphs and one ``concat_rows`` of
+    the views' attribution rows."""
     import rgcl.autodiff as ad
     from rgcl.encoder import encode_graph
     from rgcl.graphs import batch_graphs
     from rgcl.losses import BatchViews, project
     from rgcl.params import lift_params
-    from rgcl.rationale import (
-        attribute_nodes, complement_from_kept, rationale_from_kept, uniform_scores,
-    )
+    from rgcl.rationale import attribute_nodes, uniform_scores
     from rgcl.training import normalize_variant
 
     variant = normalize_variant(variant)
     generator = lift_params(generator, None)
-    r1_views, r2_views, c_views = [], [], []
-    for g, sel in zip(graphs, selections):
+    towers = [selections.r1, selections.r2] + ([] if selections.c is None else [selections.c])
+    views = [[] for _ in towers]
+    for i, g in enumerate(graphs):
         if variant == "no_rationale_views":
             scores = uniform_scores(g)
         else:
             scores = attribute_nodes(g, generator, config.generator_config())
-        r1_views.append(rationale_from_kept(g, scores, sel.r1))
-        r2_views.append(rationale_from_kept(g, scores, sel.r2))
-        if sel.c is not None:
-            c_views.append(complement_from_kept(g, scores, sel.c))
+        for t, kept in enumerate(towers):
+            views[t].append(view_per_view(g, scores, kept[i], complement=t == 2))
 
-    def tower(views):
-        batch = batch_graphs([v.subgraph for v in views])
-        attribution = ad.concat_rows([v.attribution for v in views])
+    def tower(tower_views):
+        batch = batch_graphs([sub for sub, _ in tower_views])
+        attribution = ad.concat_rows([rows for _, rows in tower_views])
         pooled = encode_graph(batch, encoder, config.encoder_config(), attribution=attribution)
         return project(pooled, projector)
 
-    return BatchViews(r1=tower(r1_views), r2=tower(r2_views),
-                      c=tower(c_views) if c_views else None)
+    return BatchViews(*[tower(tower_views) for tower_views in views])
 
 
 def gcn_coefs_fresh(edges, num_nodes):

@@ -140,8 +140,34 @@ class TestPipeline:
         monkeypatch.setenv("RGCL_SEED", "not-a-number")
         assert main(["pretrain", "--config", config_path]) == 2
 
+    @pytest.mark.parametrize("command", ["pretrain", "sweep"])
+    def test_negative_env_seed_fails_before_the_dataset_loads(self, workspace, monkeypatch,
+                                                             capsys, command):
+        """numpy used to refuse the seed only after the dataset had loaded."""
+        tmp, config_path, data_path = workspace
+        data_path.unlink()  # a loaded dataset would now exit 3
+        monkeypatch.setenv("RGCL_SEED", "-1")
+        grid = ["--grid", write_json(tmp / "grid.json", {"tau": [0.2]})]
+        assert main([command, "--config", config_path] + (grid if command == "sweep" else [])) == 2
+        assert "seed: must be >= 0" in capsys.readouterr().err
+        assert not (tmp / "run").exists()
+
 
 class TestConfigErrors:
+    @pytest.mark.parametrize("where", ["train", "synthetic-spec"])
+    def test_negative_seed_fails_before_any_compute(self, workspace, capsys, where):
+        tmp, config_path, _ = workspace
+        config = json.loads((tmp / "config.json").read_text())
+        if where == "train":
+            config["seed"] = -1
+        else:
+            config["dataset"] = {"synthetic": {"spec": {"seed": -1}, "count": 4}}
+        config["output_dir"] = str(tmp / "never")
+        bad = write_json(tmp / "bad.json", config)
+        assert main(["pretrain", "--config", bad]) == 2
+        assert not (tmp / "never").exists()
+        assert "seed" in capsys.readouterr().err
+
     def test_invalid_rho_fails_before_any_compute(self, workspace, capsys):
         tmp, config_path, data_path = workspace
         config = json.loads((tmp / "config.json").read_text())
@@ -487,9 +513,10 @@ class TestSweep:
             ({"tau": ["0.3"]}, "tau: must be a finite number"),
             ({"tau": [True]}, "tau: must be a finite number"),
             ({"rho": [0.8, 0.0]}, "rho: must be in"),
+            ({"seeds": [1, -1]}, "seed: must be >= 0"),
         ],
         ids=["tau-scalar", "seeds-scalar", "lambda-empty", "seed-float", "tau-string",
-             "tau-bool", "bad-later-cell"],
+             "tau-bool", "bad-later-cell", "negative-seed"],
     )
     def test_mistyped_grid_fails_before_any_training(self, workspace, capsys, grid, named):
         tmp, config_path, _ = workspace
@@ -551,6 +578,14 @@ class TestSynth:
         assert main(["synth", "--spec", spec, "--count", "2",
                      "--out", str(tmp_path / "d.json")]) == 2
         assert f"{field_name}: must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "d.json").exists()
+
+    def test_negative_spec_seed_is_named(self, tmp_path, capsys):
+        """numpy used to refuse it with a message that named no field."""
+        spec = write_json(tmp_path / "spec.json", {"seed": -1})
+        assert main(["synth", "--spec", spec, "--count", "2",
+                     "--out", str(tmp_path / "d.json")]) == 2
+        assert "synthetic spec: seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "d.json").exists()
 
     def test_bad_spec_field(self, tmp_path):

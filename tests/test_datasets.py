@@ -229,6 +229,9 @@ class TestPlantedMotif:
             PlantedMotifSpec(motif_size=3, background_size_range=(10, 5))
         with pytest.raises(ValueError, match="edge_prob"):
             PlantedMotifSpec(edge_prob_background=1.5)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            PlantedMotifSpec(seed=-1)
+        assert PlantedMotifSpec(seed=0).seed == 0
 
     def test_graphs_are_valid_and_symmetric(self):
         ds = generate_planted_motif_dataset(self.SPEC, 8)

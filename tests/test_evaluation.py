@@ -404,9 +404,9 @@ class TestRunAblation:
             graphs, state.generator, cfg, np.random.default_rng(0),
             variant="no_rationale_views",
         )
-        for g, sel in zip(graphs, sels):
-            np.testing.assert_array_equal(sel.r1, np.arange(g.num_nodes))
-            np.testing.assert_array_equal(sel.r2, np.arange(g.num_nodes))
+        for g, r1, r2 in zip(graphs, sels.r1, sels.r2, strict=True):
+            np.testing.assert_array_equal(r1, np.arange(g.num_nodes))
+            np.testing.assert_array_equal(r2, np.arange(g.num_nodes))
             assert view_size(g.num_nodes, 1.0) == g.num_nodes
 
     def test_unmasked_dataset_skips_rationale_scoring(self, small_dataset):

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 import rgcl.autodiff as ad
-from oracles import finite_difference, inclusion_probabilities, max_rel_err, topk_by_score
+from oracles import (
+    finite_difference, inclusion_probabilities, jitter_params, max_rel_err, topk_by_score,
+    view_per_view,
+)
 from rgcl.encoder import EncoderConfig, init_params
 from rgcl.graphs import Graph, canonical_edges
 from rgcl.params import lift_params, named_arrays, named_leaves
@@ -13,13 +16,16 @@ from rgcl.rationale import (
     WEIGHT_FLOOR,
     AttributionScores,
     attribute_nodes,
+    complement_from_kept,
     export_rationales,
     gumbel_top_k,
+    rationale_from_kept,
     sample_complement,
     sample_rationale,
     top_k_nodes,
     uniform_scores,
     view_size,
+    view_tower,
 )
 
 GEN_CFG = EncoderConfig(gnn_type="gcn", layer_dims=(4, 3), head_dims=(3, 1))
@@ -34,6 +40,15 @@ def path_graph(n=5, dim=2, seed=0) -> Graph:
     rng = np.random.default_rng(seed)
     return Graph(node_features=rng.standard_normal((n, dim)),
                  edges=canonical_edges([(i, i + 1) for i in range(n - 1)], n))
+
+
+def random_graph(n, dim=2, seed=0) -> Graph:
+    """``n`` nodes, up to ``2 n`` random undirected edges, a random mask."""
+    rng = np.random.default_rng(seed)
+    pairs = rng.integers(0, n, size=(2 * n, 2))
+    return Graph(node_features=rng.standard_normal((n, dim)),
+                 edges=canonical_edges(pairs[pairs[:, 0] != pairs[:, 1]], n),
+                 rationale_mask=rng.random(n) < 0.4)
 
 
 def scores_from(p) -> AttributionScores:
@@ -170,6 +185,118 @@ class TestSampling:
     def test_uniform_scores_helper(self):
         s = uniform_scores(path_graph(5))
         np.testing.assert_allclose(s.probs.values, np.full((5, 1), 0.2))
+
+
+class TestOneViewCutter:
+    """``rationale_from_kept`` and ``complement_from_kept`` are one-graph
+    ``view_tower`` calls, and ``sample_rationale`` / ``sample_complement`` go
+    through them. All four equal ``tests/oracles.py::view_per_view``, which
+    cuts the view by hand, as bytes."""
+
+    GRAPHS = {
+        "one-node": lambda: Graph(node_features=np.full((1, 2), 0.5), edges=np.zeros((0, 2))),
+        "path": lambda: path_graph(7, seed=4),
+        **{f"random-{s}": (lambda s=s: random_graph(6 + 3 * s, seed=s)) for s in range(3)},
+    }
+
+    @staticmethod
+    def cut(make_view, g, seed):
+        """Scores ``g`` on a fresh tape and cuts one view with ``make_view``.
+        Returns the bytes of the subgraph arrays, the kept nodes and the
+        attribution, and of each scorer-leaf gradient of a weighted
+        attribution sum."""
+        params = init_params(GEN_CFG, 2, seed=seed)
+        jitter_params(params, seed)
+        tape = ad.Tape()
+        lifted = lift_params(params, tape)
+        subgraph, kept, attribution = make_view(attribute_nodes(g, lifted, GEN_CFG))
+        weights = ad.const(np.arange(1.0, attribution.shape[0] + 1).reshape(-1, 1))
+        store = ad.backward(tape, ad.sum_all(ad.mul(attribution, weights)))
+        mask = subgraph.rationale_mask
+        arrays = [subgraph.node_features, subgraph.edges, np.asarray(kept), attribution.values]
+        return ([a.tobytes() for a in arrays] + [None if mask is None else mask.tobytes()],
+                {k: store[t].tobytes() for k, t in named_leaves(lifted).items()})
+
+    @pytest.mark.parametrize("graph", list(GRAPHS))
+    @pytest.mark.parametrize("rho", [0.5, 1.0])
+    @pytest.mark.parametrize("complement", [False, True])
+    def test_single_views_equal_the_hand_cut_view(self, graph, rho, complement):
+        g = self.GRAPHS[graph]()
+        k = view_size(g.num_nodes, rho)
+        sample = sample_complement if complement else sample_rationale
+        from_kept = complement_from_kept if complement else rationale_from_kept
+
+        def draw(scores, seed):
+            p = scores.probs.values.reshape(-1)
+            return gumbel_top_k(1.0 - p if complement else p, k, np.random.default_rng(seed))
+
+        def fields(view):
+            return view.subgraph, view.kept, view.attribution
+
+        def by_hand(scores, seed):
+            kept = draw(scores, seed)
+            subgraph, attribution = view_per_view(g, scores, kept, complement)
+            return subgraph, kept, attribution
+
+        for seed in range(3):
+            want = self.cut(lambda s: by_hand(s, seed), g, seed)
+            assert self.cut(lambda s: fields(from_kept(g, s, draw(s, seed))), g, seed) == want
+            sampled = self.cut(
+                lambda s: fields(sample(g, s, rho, np.random.default_rng(seed))), g, seed
+            )
+            assert sampled == want
+
+
+class TestOrderContract:
+    """Each ``kept`` must be strictly ascending, the order in which the
+    subgraph numbers its nodes. Another order, or a repeated node, is refused
+    instead of pairing subgraph node i with another node's p."""
+
+    CUTS = {
+        "view_tower": lambda g, s, kept: view_tower([g], s.probs, [kept]),
+        "view_tower-complement": lambda g, s, kept: view_tower([g], s.probs, [kept], True),
+        "rationale_from_kept": rationale_from_kept,
+        "complement_from_kept": complement_from_kept,
+    }
+
+    def test_node_3_is_no_longer_paired_with_subgraph_node_0(self):
+        g = path_graph(5, seed=1)
+        probs = scores_from(np.random.default_rng(0).dirichlet(np.ones(5))).probs
+        with pytest.raises(ValueError, match="strictly ascending"):
+            view_tower([g], probs, [np.array([3, 0, 1])])
+
+    @pytest.mark.parametrize("cut", list(CUTS))
+    @pytest.mark.parametrize("kept", [[4, 2, 1, 0], [0, 1, 1, 3], [2, 2]])
+    def test_an_unsorted_or_repeated_kept_is_refused(self, cut, kept):
+        g = path_graph(5, seed=2)
+        scores = scores_from(np.random.default_rng(1).dirichlet(np.ones(5)))
+        with pytest.raises(ValueError, match="strictly ascending"):
+            self.CUTS[cut](g, scores, np.array(kept))
+
+    def test_probs_must_hold_one_row_per_graph_node(self):
+        """A column of the wrong length used to be gathered from silently."""
+        graphs = [path_graph(4, seed=0), path_graph(5, seed=1)]
+        probs = ad.concat_rows([uniform_scores(g).probs for g in graphs])
+        with pytest.raises(ValueError, match="probs has 9 rows for 4 graph nodes"):
+            view_tower(graphs[:1], probs, [np.array([0, 1])])
+        with pytest.raises(ValueError, match="probs has 4 rows for 5 graph nodes"):
+            rationale_from_kept(graphs[1], uniform_scores(graphs[0]), np.array([0, 1]))
+
+    @pytest.mark.parametrize("second", [[3, 0], [1, 1]])
+    def test_the_batched_cut_checks_every_graph(self, second):
+        graphs = [path_graph(4, seed=0), path_graph(5, seed=1)]
+        probs = ad.concat_rows([uniform_scores(g).probs for g in graphs])
+        with pytest.raises(ValueError, match="strictly ascending"):
+            view_tower(graphs, probs, [np.array([0, 3]), np.array(second)])
+
+    def test_a_batch_may_restart_at_node_0_in_each_graph(self):
+        """Offsets keep the flat index ascending across graph boundaries."""
+        graphs = [path_graph(4, seed=0), path_graph(5, seed=1)]
+        probs = ad.concat_rows([scores_from(np.full(g.num_nodes, 1 / g.num_nodes)).probs
+                                for g in graphs])
+        subgraphs, attribution = view_tower(graphs, probs, [np.array([3]), np.array([0, 4])])
+        assert [sub.num_nodes for sub in subgraphs] == [1, 2]
+        np.testing.assert_array_equal(attribution.values, [[0.25], [0.2], [0.2]])
 
 
 class TestSamplingDistribution:

@@ -23,7 +23,7 @@ from rgcl.losses import rgcl_loss
 from rgcl.rationale import attribute_nodes
 from rgcl.training import (
     CheckpointFormatError,
-    FrozenSelection,
+    Selections,
     TrainConfig,
     adam_update,
     batch_views_loss,
@@ -163,6 +163,12 @@ class TestTrainConfig:
     def test_rejects_wrong_types_with_the_field_name(self, field_name, value):
         with pytest.raises(ValueError, match=field_name):
             tiny_config(**{field_name: value})
+
+    def test_negative_seed_is_named(self):
+        """numpy used to refuse it at the first draw, naming no field."""
+        with pytest.raises(ValueError, match="seed: must be >= 0"):
+            tiny_config(seed=-1)
+        assert tiny_config(seed=0).seed == 0
 
     def test_accepts_ints_for_float_fields_and_lists_for_dims(self):
         cfg = tiny_config(tau=1, lam=0, encoder_dims=[8, 6], seed=np.int64(3))
@@ -321,11 +327,11 @@ class TestTrainStep:
                 cfg, variant,
             )[0].item()
 
-        assert all(sel.c is None for sel in draw("no_i"))
+        assert draw("no_i").c is None
         alias, name = draw("no_rv"), draw("no_rationale_views")
-        for a, b in zip(alias, name):
-            for x, y in ((a.r1, b.r1), (a.r2, b.r2), (a.c, b.c)):
-                assert np.array_equal(x, y)
+        for a, b in ((alias.r1, name.r1), (alias.r2, name.r2), (alias.c, name.c)):
+            assert len(a) == len(b) == 4
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
         assert loss("no_rv", alias) == loss("no_rationale_views", alias)
         assert loss("no_rv", alias) != loss("full", alias)
         with pytest.raises(ValueError, match="variant"):
@@ -373,14 +379,12 @@ class TestBatchedSelection:
                                     variant)
             want = sample_selections_per_view(graphs, state.generator, cfg,
                                               np.random.default_rng(seed), variant)
-            assert len(got) == n
-            for sel, (r1, r2, c) in zip(got, want):
-                for a, b in ((sel.r1, r1), (sel.r2, r2)):
+            assert len(got.r1) == len(got.r2) == n
+            assert (got.c is None) == (variant == "no_i")
+            for i, (r1, r2, c) in enumerate(want):
+                pairs = [(got.r1[i], r1), (got.r2[i], r2)] + ([] if c is None else [(got.c[i], c)])
+                for a, b in pairs:
                     assert a.dtype == b.dtype and np.array_equal(a, b)
-                if c is None:
-                    assert sel.c is None
-                else:
-                    assert sel.c.dtype == c.dtype and np.array_equal(sel.c, c)
 
     def test_empty_batch_rejected(self, small_dataset):
         cfg = tiny_config()
@@ -396,6 +400,19 @@ class TestBatchedSelection:
         sel = sample_selections(graphs[:5], state.generator, cfg, np.random.default_rng(0))
         with pytest.raises(ValueError, match="8 graphs and 5 selections"):
             encode_views(graphs, sel, state.encoder, state.generator, state.projector, cfg)
+
+    @pytest.mark.parametrize("tower", ["r1", "r2", "c"])
+    def test_encode_views_needs_one_selection_per_graph_in_each_tower(self, small_dataset,
+                                                                      tower):
+        cfg = tiny_config()
+        state = init_train_state(cfg, small_dataset.feature_dim)
+        graphs = [small_dataset[i] for i in range(4)]
+        sel = sample_selections(graphs, state.generator, cfg, np.random.default_rng(0))
+        short = {name: getattr(sel, name)[: 3 if name == tower else 4]
+                 for name in ("r1", "r2", "c")}
+        with pytest.raises(ValueError, match="4 graphs and 3 selections"):
+            encode_views(graphs, Selections(**short), state.encoder, state.generator,
+                         state.projector, cfg)
 
 
 class TestViewTowers:
@@ -473,16 +490,20 @@ class TestViewTowers:
         towers = 3 if variant == "full" else 2
         assert fixed == {1 + towers * (1 + 13 + 3) + (2 if variant == "full" else 0)}
 
-    def test_selections_must_agree_on_a_complement(self, small_dataset):
-        """A batch mixing selections with and without a complement used to
-        fail with a shape error inside ``BatchViews``."""
+    @pytest.mark.parametrize("tower", ["r1", "r2", "c"])
+    @pytest.mark.parametrize("fault", ["reversed", "duplicated"])
+    def test_selections_must_be_strictly_ascending(self, small_dataset, tower, fault):
+        """A reversed selection used to pair subgraph node i with another
+        node's p; a repeated node failed later with a shape error."""
         cfg = tiny_config()
         state = init_train_state(cfg, small_dataset.feature_dim)
         graphs = [small_dataset[i] for i in range(4)]
         sel = sample_selections(graphs, state.generator, cfg, np.random.default_rng(0))
-        sel[2] = FrozenSelection(r1=sel[2].r1, r2=sel[2].r2, c=None)
-        with pytest.raises(ValueError, match="some selections carry a complement"):
-            encode_views(graphs, sel, state.encoder, state.generator, state.projector, cfg)
+        kept = list(getattr(sel, tower))
+        kept[2] = kept[2][::-1] if fault == "reversed" else np.sort(np.r_[kept[2], kept[2][:1]])
+        bad = Selections(**{"r1": sel.r1, "r2": sel.r2, "c": sel.c, tower: kept})
+        with pytest.raises(ValueError, match="strictly ascending"):
+            encode_views(graphs, bad, state.encoder, state.generator, state.projector, cfg)
 
     @pytest.mark.parametrize("variant, drawn, message", [
         ("no_i", "full", "variant no_independence takes no complement"),

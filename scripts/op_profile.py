@@ -1,4 +1,5 @@
-"""Print the time and call count of each autodiff op in an N = 32 training step.
+"""Print the time and call count of each autodiff op in an N = 32 training step
+and in one eval pass.
 
 Profiles the ``rgcl`` on ``PYTHONPATH``, so two source trees can be compared:
 
@@ -17,7 +18,15 @@ full batches of one shuffle, steps through them once to build each graph's
 cached constants, then ``PASSES`` times unwrapped and ``PASSES`` times
 wrapped. It prints the median step time of both runs and, per wrapped step,
 the tape records, ``_scatter_block`` calls, ``backward`` milliseconds, and
-each op's forward and VJP milliseconds and calls. A run takes a few seconds.
+each op's forward and VJP milliseconds and calls.
+
+It then runs one eval pass on the 500 graphs, as ``rgcl eval`` and the
+benchmark's ``eval-planted`` do (``embed_graphs``, ``linear_probe``,
+``rationale_precision``, ``view_similarities``), on the stepped state: once
+unwrapped after a warm-up pass, then once wrapped. Every op in it runs
+value-only. It prints both pass times, the tape records its ops made (none),
+``linear_probe``'s milliseconds and each op's forward milliseconds and calls.
+A run takes a few seconds.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ import numpy as np  # noqa: E402
 
 import rgcl  # noqa: E402
 import rgcl.autodiff as ad  # noqa: E402
+from rgcl import evaluation  # noqa: E402
 from rgcl.datasets import PlantedMotifSpec, generate_planted_motif_dataset  # noqa: E402
 from rgcl.training import TrainConfig, init_train_state, train_step  # noqa: E402
 
@@ -48,11 +58,16 @@ NOT_OPS = {"const", "backward"}
 
 class OpProfile:
     def __init__(self):
+        self.reset()
+
+    def reset(self) -> None:
+        """Zero every count and time; the installed wrappers stay."""
         self.fwd_s = defaultdict(float)
         self.fwd_calls = defaultdict(int)
         self.vjp_s = defaultdict(float)
         self.vjp_calls = defaultdict(int)
         self.scatter_blocks = 0
+        self.recorded = 0  # op calls that appended a tape record
         self.records = 0
         self.backward_s = 0.0
         self._child_s = [0.0]  # time spent in nested ops, one slot per open op
@@ -71,6 +86,7 @@ class OpProfile:
                 self.fwd_calls[name] += 1
             tape = getattr(out, "tape", None)
             if tape is not None and tape._records and tape._records[-1][0] == out.node_id:
+                self.recorded += 1
                 out_id, inputs = tape._records[-1]
                 tape._records[-1] = (
                     out_id, tuple((i, self.vjp(name, vjp)) for i, vjp in inputs)
@@ -138,6 +154,34 @@ def median_step_ms(state, batches, config) -> float:
     return 1e3 * float(np.median(times))
 
 
+def eval_pass(dataset, state, config) -> tuple[float, float]:
+    """One eval pass: its seconds and those of its ``linear_probe``."""
+    start = time.perf_counter()
+    emb = evaluation.embed_graphs(dataset, state.encoder, config.encoder_config())
+    probe_start = time.perf_counter()
+    evaluation.linear_probe(emb, dataset.labels(), split_seed=config.seed)
+    probe_s = time.perf_counter() - probe_start
+    evaluation.rationale_precision(dataset, state.generator, config.generator_config())
+    evaluation.view_similarities(dataset, state, config, sample_seed=config.seed)
+    return time.perf_counter() - start, probe_s
+
+
+def print_ops(profile, per: float, vjps: bool) -> None:
+    """Each op's forward (and VJP) milliseconds and calls, times ``per``."""
+    names = sorted(profile.fwd_calls, key=lambda k: -(profile.fwd_s[k] + profile.vjp_s[k]))
+    head = f"{'op':<16}{'fwd ms':>9}{'fwd calls':>11}"
+    print(head + (f"{'vjp ms':>9}{'vjp calls':>11}" if vjps else ""))
+    rows = [(name, profile.fwd_s[name], profile.fwd_calls[name], profile.vjp_s[name],
+             profile.vjp_calls[name]) for name in names]
+    rows.append(("all ops", sum(profile.fwd_s.values()), sum(profile.fwd_calls.values()),
+                 sum(profile.vjp_s.values()), sum(profile.vjp_calls.values())))
+    for name, fwd_s, fwd_calls, vjp_s, vjp_calls in rows:
+        line = f"{name:<16}{1e3 * fwd_s * per:>9.3f}{fwd_calls * per:>11.1f}"
+        if vjps:
+            line += f"{1e3 * vjp_s * per:>9.3f}{vjp_calls * per:>11.1f}"
+        print(line)
+
+
 def main() -> int:
     dataset = generate_planted_motif_dataset(PlantedMotifSpec(seed=SEED), GRAPHS)
     config = TrainConfig(seed=SEED)
@@ -145,6 +189,8 @@ def main() -> int:
     state = init_train_state(config, dataset.feature_dim)
     median_step_ms(state, batches, config)
     plain_ms = median_step_ms(state, batches * PASSES, config)
+    eval_pass(dataset, state, config)
+    plain_eval_s, _ = eval_pass(dataset, state, config)
     profile = OpProfile()
     profile.install()
     wrapped_ms = median_step_ms(state, batches * PASSES, config)
@@ -158,15 +204,16 @@ def main() -> int:
     print(f"per wrapped step: {profile.records * per:.1f} tape records, "
           f"{profile.scatter_blocks * per:.1f} _scatter_block calls, "
           f"backward {1e3 * profile.backward_s * per:.3f} ms")
-    names = sorted(profile.fwd_calls, key=lambda k: -(profile.fwd_s[k] + profile.vjp_s[k]))
-    print(f"{'op':<16}{'fwd ms':>9}{'fwd calls':>11}{'vjp ms':>9}{'vjp calls':>11}")
-    for name in names:
-        print(f"{name:<16}{1e3 * profile.fwd_s[name] * per:>9.3f}"
-              f"{profile.fwd_calls[name] * per:>11.1f}"
-              f"{1e3 * profile.vjp_s[name] * per:>9.3f}{profile.vjp_calls[name] * per:>11.1f}")
-    fwd, vjp = sum(profile.fwd_s.values()), sum(profile.vjp_s.values())
-    print(f"{'all ops':<16}{1e3 * fwd * per:>9.3f}{sum(profile.fwd_calls.values()) * per:>11.1f}"
-          f"{1e3 * vjp * per:>9.3f}{sum(profile.vjp_calls.values()) * per:>11.1f}")
+    print_ops(profile, per, vjps=True)
+
+    profile.reset()
+    wrapped_eval_s, probe_s = eval_pass(dataset, state, config)
+    print()
+    print(f"eval pass on the {GRAPHS} graphs, value-only: unwrapped {1e3 * plain_eval_s:.1f} ms, "
+          f"wrapped {1e3 * wrapped_eval_s:.1f} ms, {profile.recorded} tape records, "
+          f"{profile.scatter_blocks} _scatter_block calls")
+    print(f"linear_probe {1e3 * probe_s:.1f} ms (wrapped pass)")
+    print_ops(profile, 1.0, vjps=False)
     return 0
 
 

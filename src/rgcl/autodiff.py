@@ -5,7 +5,9 @@ design is deliberately small: a ``Tensor`` wraps a numpy float64 array and an
 optional handle into a ``Tape``; ops are plain functions that compute values
 eagerly and, when any operand is tracked, append a record with the local
 vector-Jacobian rules. ``backward`` replays the records in reverse and
-accumulates gradients wherever a node fans out.
+accumulates gradients wherever a node fans out. On untracked operands the
+ops that keep VJP state (masks, softmax weights) build none of it, and no op
+writes in place into any array but one it allocated itself.
 
 A tape is built during a single forward pass and consumed by a single
 backward pass; reusing a consumed tape is an error rather than a silent
@@ -148,6 +150,15 @@ def backward(tape: Tape, loss: Tensor) -> GradientStore:
 # op plumbing
 
 
+def _tracked(*operands: Tensor) -> bool:
+    """Whether any operand is on a tape. An op builds the state that only its
+    VJP reads, and the closures, only when this holds."""
+    for t in operands:
+        if t.tape is not None:
+            return True
+    return False
+
+
 def _emit(values: np.ndarray, parents: Sequence[tuple[Tensor, Callable]]) -> Tensor:
     """Create the result tensor, recording it if any parent is tracked."""
     tracked = [(t, vjp) for t, vjp in parents if t.tape is not None]
@@ -246,17 +257,23 @@ def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
 
     The value and the three VJPs evaluate the expressions of the
     ``matmul`` / ``add_bias`` / ``relu`` chain, so they equal it bit for bit.
+    The bias and the ReLU are applied in place to the fresh product.
     """
     if len(x.shape) != 2 or len(w.shape) != 2 or x.shape[1] != w.shape[0]:
         raise ValueError(f"matmul shape mismatch: {x.shape} @ {w.shape}")
     if b.shape != (w.shape[1],):
         raise ValueError(f"add_bias shape mismatch: {(x.shape[0], w.shape[1])} + {b.shape}")
     xv, wv = x.values, w.values
-    out = xv @ wv + b.values
+    out = xv @ wv
+    out += b.values
+    tracked = _tracked(x, w, b)
     mask = None
     if relu:
-        mask = out > 0.0
-        out = np.maximum(out, 0.0)
+        if tracked:
+            mask = out > 0.0
+        np.maximum(out, 0.0, out=out)
+    if not tracked:
+        return Tensor(out)
 
     def pre(g):
         """The gradient at ``x @ w + b``."""
@@ -271,10 +288,13 @@ def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     av = a.values
-    mask = av > 0.0
     # np.maximum (unlike np.where) lets NaN through, so poisoned values
     # surface as a numeric error downstream instead of vanishing
-    return _emit(np.maximum(av, 0.0), [(a, lambda g: g * mask)])
+    out = np.maximum(av, 0.0)
+    if not _tracked(a):
+        return Tensor(out)
+    mask = av > 0.0
+    return _emit(out, [(a, lambda g: g * mask)])
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -303,8 +323,11 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     if not lo < hi:
         raise ValueError(f"clip requires lo < hi, got [{lo}, {hi}]")
     av = a.values
+    out = np.clip(av, lo, hi)
+    if not _tracked(a):
+        return Tensor(out)
     mask = (av >= lo) & (av <= hi)
-    return _emit(np.clip(av, lo, hi), [(a, lambda g: g * mask)])
+    return _emit(out, [(a, lambda g: g * mask)])
 
 
 def softmax(a: Tensor, axis: int = 0) -> Tensor:
@@ -312,9 +335,11 @@ def softmax(a: Tensor, axis: int = 0) -> Tensor:
     av = a.values
     if np.isnan(av).any():
         raise NumericError("softmax received NaN input")
-    shifted = av - av.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = av - av.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    if not _tracked(a):
+        return Tensor(out)
 
     def vjp(g, out=out, axis=axis):
         return out * (g - (g * out).sum(axis=axis, keepdims=True))
@@ -333,6 +358,8 @@ def logsumexp(a: Tensor) -> Tensor:
     e = np.exp(av - m)
     z = e.sum()
     out = np.asarray(m + np.log(z))
+    if not _tracked(a):
+        return Tensor(out)
 
     def vjp(g, w=e / z, shape=av.shape):
         return float(g) * w.reshape(shape)
@@ -362,11 +389,14 @@ def logsumexp_rows(a: Tensor, mask) -> Tensor:
     m = kept.max(axis=1, keepdims=True)
     e = np.exp(kept - m)
     z = e.sum(axis=1, keepdims=True)
+    out = m + np.log(z)
+    if not _tracked(a):
+        return Tensor(out)
 
     def vjp(g, w=e / z):
         return g * w
 
-    return _emit(m + np.log(z), [(a, vjp)])
+    return _emit(out, [(a, vjp)])
 
 
 def masked_row_sum(a: Tensor, mask) -> Tensor:
@@ -492,12 +522,17 @@ def gin_aggregate(h: Tensor, eps: Tensor, src: np.ndarray, dst: np.ndarray) -> T
 
     ``eps`` is a scalar; ``src`` / ``dst`` are int64 edge endpoints in range.
     The value and both VJPs evaluate their terms in the order of the unfused
-    gather / scatter / mul / add chain, so they equal it bit for bit.
+    gather / scatter / mul / add chain, so they equal it bit for bit: the
+    value adds the self term into the fresh scatter result, and IEEE addition
+    commutes.
     """
     hv = h.values
     n = hv.shape[0]
     factor = eps.values + 1.0
-    out = hv * factor + _scatter_rows(hv, dst, n, rows=src)
+    out = _scatter_rows(hv, dst, n, rows=src)
+    out += hv * factor
+    if not _tracked(h, eps):
+        return Tensor(out)
     return _emit(out, [
         (h, lambda g: g * factor + _scatter_rows(g, src, n, rows=dst)),
         (eps, lambda g: np.asarray((g * hv).sum())),
@@ -516,7 +551,10 @@ def gcn_propagate(
     """
     hv = h.values
     n = hv.shape[0]
-    out = _scatter_rows(hv, dst, n, rows=src, coef=edge_coef) + hv * self_coef
+    out = _scatter_rows(hv, dst, n, rows=src, coef=edge_coef)
+    out += hv * self_coef
+    if not _tracked(h):
+        return Tensor(out)
     return _emit(out, [
         (h, lambda g: _scatter_rows(g, src, n, rows=dst, coef=edge_coef) + g * self_coef),
     ])

@@ -31,6 +31,7 @@ from .rationale import export_rationales
 from .training import (
     CheckpointFormatError,
     TrainConfig,
+    TrainState,
     load_checkpoint,
     normalize_variant,
     pretrain,
@@ -148,6 +149,16 @@ def cmd_pretrain(args) -> int:
     return EXIT_OK
 
 
+def _check_feature_width(dataset: GraphDataset, state: TrainState) -> None:
+    """Refuse a dataset whose node features the checkpoint's networks cannot
+    take, before any compute."""
+    if dataset.feature_dim != state.input_dim:
+        raise GraphFormatError(
+            f"dataset feature width {dataset.feature_dim} does not match "
+            f"the checkpoint's input width {state.input_dim}"
+        )
+
+
 def _summary_table(rows: list[tuple[str, str]]) -> str:
     width = max(len(k) for k, _ in rows)
     return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
@@ -158,6 +169,7 @@ def cmd_eval(args) -> int:
     variant = normalize_variant(args.variant)
     state, config = load_checkpoint(args.checkpoint, expected_config=run.train)
     dataset = run.load_dataset()
+    _check_feature_width(dataset, state)
     probe, rationale = read_out(dataset, state, config)
     result = {
         "variant": variant,
@@ -191,6 +203,7 @@ def cmd_rationale(args) -> int:
     state, config = load_checkpoint(args.checkpoint)
     src = Path(args.dataset)
     dataset = (load_tu_dataset if src.is_dir() else load_dataset_json)(src)
+    _check_feature_width(dataset, state)
     records = export_rationales(
         dataset, state.generator, config.generator_config(), rho=config.rho
     )

@@ -143,25 +143,47 @@ def linear_probe(
     ridge_mask = np.ones_like(w)
     ridge_mask[-1] = 0.0  # leave the intercept unpenalized
     ridge = l2 * ridge_mask
-    # Row max as a running np.maximum over the few class columns: a max is
-    # exact, so this equals logits.max(axis=1) bit for bit, and it skips a
-    # reduce along the short class axis, about a third of a step on [400, 2].
-    row_max = np.empty((len(tr), 1))
+    # The loop runs the ops of the plain allocating loop in the same order,
+    # into buffers allocated once: ``p`` holds the logits, then the
+    # probabilities, then p - onehot. The row max is a running np.maximum
+    # over the few class columns (a max is exact, so this equals
+    # logits.max(axis=1)), and the row sum a running np.add: below 8 terms
+    # numpy's row reduce adds left to right, so this equals p.sum(axis=1)
+    # bit for bit; from 8 terms on it sums pairwise, so the reduce stays.
+    # Each running op skips a reduce along the short class axis.
+    n_tr, classes = len(tr), fitted.size
+    xt_t = xt.T
+    p = np.empty((n_tr, classes))
+    row_max = np.empty((n_tr, 1))
+    row_sum = np.empty((n_tr, 1))
+    grad = np.empty_like(w)
+    term = np.empty_like(w)  # ridge * w, then step * grad
+    flat = grad.reshape(-1)
     iterations, grad_norm = 0, np.inf
     for iterations in range(1, PROBE_MAX_ITERS + 1):
-        logits = xt @ w
-        np.maximum(logits[:, :1], logits[:, 1:2], out=row_max)
-        for c in range(2, fitted.size):
-            np.maximum(row_max, logits[:, c:c + 1], out=row_max)
-        logits -= row_max
-        p = np.exp(logits)
-        p /= p.sum(axis=1, keepdims=True)
-        grad = xt.T @ (p - onehot) / len(tr) + ridge * w
-        flat = grad.ravel()
+        np.matmul(xt, w, out=p)
+        np.maximum(p[:, :1], p[:, 1:2], out=row_max)
+        for c in range(2, classes):
+            np.maximum(row_max, p[:, c:c + 1], out=row_max)
+        p -= row_max
+        np.exp(p, out=p)
+        if classes < 8:
+            np.add(p[:, :1], p[:, 1:2], out=row_sum)
+            for c in range(2, classes):
+                np.add(row_sum, p[:, c:c + 1], out=row_sum)
+        else:
+            np.sum(p, axis=1, keepdims=True, out=row_sum)
+        p /= row_sum
+        p -= onehot
+        np.matmul(xt_t, p, out=grad)
+        grad /= n_tr
+        np.multiply(ridge, w, out=term)
+        grad += term
         grad_norm = np.sqrt(flat.dot(flat))  # what np.linalg.norm computes
         if grad_norm < PROBE_STOP_NORM:
             break
-        w -= step * grad
+        np.multiply(step, grad, out=term)
+        w -= term
 
     pred = fitted[(xa @ w).argmax(axis=1)]
     num_classes = int(y.max()) + 1

@@ -264,11 +264,12 @@ def independence_loss_mp(r1, r2, c, n: int, tau: float) -> float:
 
 
 def linear_probe_reference(embeddings, labels, split_seed=0, train_fraction=0.8, l2=1e-4) -> dict:
-    """``rgcl.evaluation.linear_probe`` written with a reduce for the row max,
-    ``l2 * (w * ridge_mask)`` and ``np.linalg.norm``: the loop the package's
-    tuned one must match bit for bit. It fits only the classes present in
-    the training split and counts every class. Returns the probe's fields as
-    a dict, ``grad_norm`` being the last norm the stopping test read."""
+    """``rgcl.evaluation.linear_probe`` as the plain allocating loop, with
+    reduces for the row max and row sum, ``l2 * (w * ridge_mask)`` and
+    ``np.linalg.norm``: the loop the package's buffered one must match bit
+    for bit. It fits only the classes present in the training split and
+    counts every class. Returns the probe's fields as a dict, ``grad_norm``
+    being the last norm the stopping test read."""
     x = np.asarray(embeddings, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     m = x.shape[0]

@@ -16,7 +16,11 @@ from oracles import (
     softmax_ref,
 )
 from rgcl.datasets import PlantedMotifSpec, generate_planted_motif_dataset
+from rgcl.encoder import encode_graph
 from rgcl.graphs import Graph, batch_graphs, canonical_edges
+from rgcl.params import lift_params
+from rgcl.rationale import attribute_nodes
+from rgcl.training import TrainConfig, init_train_state
 
 SEEDS = range(20)
 TOL = 1e-4
@@ -719,3 +723,112 @@ class TestValidation:
     def test_gather_index_out_of_range(self):
         with pytest.raises(ValueError):
             ad.gather_rows(ad.const(np.ones((2, 2))), np.array([2]))
+
+
+def value_only_cases():
+    """(op, input arrays, the parent's allocating expression of the value) for
+    each op that builds VJP state only when taped. Every input has a -0.0
+    column, and every op that accepts NaN gets a NaN entry."""
+    rng = np.random.default_rng(41)
+
+    def signed(*shape, nan=True):
+        a = rng.standard_normal(shape)
+        a[:, 1] = -0.0
+        if nan:
+            a[2, 0] = np.nan
+        return a
+
+    def softmax_ref_expr(a, axis):
+        e = np.exp(a - a.max(axis=axis, keepdims=True))
+        return e / e.sum(axis=axis, keepdims=True)
+
+    def logsumexp_rows_expr(a, mask):
+        kept = np.where(mask, a, -np.inf)
+        m = kept.max(axis=1, keepdims=True)
+        return m + np.log(np.exp(kept - m).sum(axis=1, keepdims=True))
+
+    mask = rng.random((6, 5)) < 0.6
+    mask[:, 3] = True
+    mask[2, 0] = False  # the NaN entry sits outside the mask
+    batch = message_passing_batches()[0]
+    n = batch.num_nodes
+    edge_coef, self_coef = batch.gcn_coefs
+    cases = {}
+    for relu in (False, True):
+        cases[f"affine-relu{int(relu)}"] = (
+            lambda x, w, b, relu=relu: ad.affine(x, w, b, relu=relu),
+            [signed(6, 3), rng.standard_normal((3, 5)), rng.standard_normal(5)],
+            lambda x, w, b, relu=relu: np.maximum(x @ w + b, 0.0) if relu else x @ w + b,
+        )
+    cases["relu"] = (ad.relu, [signed(6, 4)], lambda a: np.maximum(a, 0.0))
+    cases["clip"] = (lambda a: ad.clip(a, -0.5, 0.5), [signed(6, 4)],
+                     lambda a: np.clip(a, -0.5, 0.5))
+    for axis in (0, 1):
+        cases[f"softmax-axis{axis}"] = (
+            lambda a, axis=axis: ad.softmax(a, axis=axis), [signed(6, 4, nan=False)],
+            lambda a, axis=axis: softmax_ref_expr(a, axis),
+        )
+    cases["logsumexp"] = (ad.logsumexp, [signed(6, 4, nan=False)],
+                          lambda a: np.asarray(a.max() + np.log(np.exp(a - a.max()).sum())))
+    cases["logsumexp_rows"] = (lambda a: ad.logsumexp_rows(a, mask), [signed(6, 5)],
+                               lambda a: logsumexp_rows_expr(a, mask))
+    cases["gin_aggregate"] = (
+        gin_forms(batch)[0], [signed(n, 4), np.asarray(0.3)],
+        lambda h, eps: gin_aggregate_unfused(ad.const(h), ad.const(eps), batch.src,
+                                             batch.dst).values,
+    )
+    cases["gcn_propagate"] = (
+        gcn_forms(batch)[0], [signed(n, 4)],
+        lambda h: gcn_propagate_unfused(ad.const(h), batch.src, batch.dst, edge_coef,
+                                        self_coef).values,
+    )
+    return cases
+
+
+VALUE_ONLY_CASES = value_only_cases()
+
+
+class TestValueOnlyForwards:
+    """An op on untracked operands builds no VJP state and records nothing, and
+    its value equals, byte for byte, both its taped value and the parent's
+    allocating expression. No op writes into its inputs, taped or not."""
+
+    @pytest.mark.parametrize("name", list(VALUE_ONLY_CASES))
+    def test_value_only_equals_taped_and_allocating_forms(self, name, monkeypatch):
+        op, arrays, expr = VALUE_ONLY_CASES[name]
+        copies = [a.copy() for a in arrays]
+        tape = ad.Tape()
+        leaves = [tape.leaf(a) for a in arrays]
+        taped = op(*leaves)
+        ad.backward(tape, ad.sum_all(taped))
+        with monkeypatch.context() as m:
+            # a value-only forward never reaches the recording plumbing
+            m.setattr(ad, "_emit", lambda *_: pytest.fail("value-only forward called _emit"))
+            value_only = op(*[ad.const(a) for a in arrays])
+        assert value_only.tape is None and taped.tape is tape
+        assert same_bits(value_only.values, taped.values)
+        assert same_bits(value_only.values, np.asarray(expr(*copies), dtype=np.float64))
+        for a, before in zip(arrays, copies):
+            assert same_bits(a, before)
+
+    def test_cached_gcn_features_and_node_features_are_never_written(self):
+        """Scoring a dataset graph reads its ``as_batch.gcn_features`` through
+        ``affine``, value-only and taped; encoding a batch reads its node
+        features through ``gin_aggregate``. Neither array changes."""
+        dataset = generate_planted_motif_dataset(PlantedMotifSpec(seed=2), 3)
+        config = TrainConfig(seed=2)
+        state = init_train_state(config, dataset.feature_dim)
+        g = dataset[0]
+        features = g.as_batch.gcn_features
+        before = (features.copy(), g.node_features.copy())
+        attribute_nodes(g, state.generator, config.generator_config())
+        tape = ad.Tape()
+        probs = attribute_nodes(g, lift_params(state.generator, tape),
+                                config.generator_config()).probs
+        ad.backward(tape, ad.sum_all(ad.mul(probs, probs)))
+        batch = batch_graphs(list(dataset.graphs))
+        batch_before = batch.node_features.copy()
+        encode_graph(batch, state.encoder, config.encoder_config())
+        assert g.as_batch.gcn_features is features
+        assert same_bits(features, before[0]) and same_bits(g.node_features, before[1])
+        assert same_bits(batch.node_features, batch_before)

@@ -323,6 +323,31 @@ class TestDataErrors:
         assert main(["eval", "--config", wide_path,
                      "--checkpoint", str(tmp / "run" / "ckpt_final.json")]) == 3
 
+    @pytest.mark.parametrize("command", ["eval", "rationale"])
+    def test_dataset_wider_than_the_checkpoint_exits_3(self, workspace, capsys, command):
+        """A checkpoint trained on width-4 features, read out on width-5 data:
+        refused before any compute, naming both widths, with no output."""
+        tmp, config_path, _ = workspace
+        assert main(["pretrain", "--config", config_path]) == 0
+        wide_data = tmp / "wide.json"
+        spec = write_json(tmp / "wide_spec.json", dict(SPEC, feature_dim=5))
+        assert main(["synth", "--spec", spec, "--count", "8", "--out", str(wide_data)]) == 0
+        ckpt = str(tmp / "run" / "ckpt_final.json")
+        out = tmp / "run" / ("results.json" if command == "eval" else "export.json")
+        if command == "eval":
+            config = json.loads((tmp / "config.json").read_text())
+            config["dataset"] = {"json": str(wide_data)}
+            argv = ["eval", "--config", write_json(tmp / "wide_cfg.json", config),
+                    "--checkpoint", ckpt]
+        else:
+            argv = ["rationale", "--checkpoint", ckpt, "--dataset", str(wide_data),
+                    "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "data error: dataset feature width 5" in err and "input width 4" in err
+        assert not out.exists()
+
     def test_non_finite_features_exit_3(self, workspace, capsys):
         tmp, config_path, data_path = workspace
         payload = json.loads(data_path.read_text())

@@ -172,6 +172,7 @@ class TestLinearProbe:
         assert capped.converged is False
         assert capped.grad_norm >= PROBE_STOP_NORM
         res = linear_probe(x, y, split_seed=0, l2=0.1)
+        assert dataclasses.asdict(res) == linear_probe_reference(x, y, split_seed=0, l2=0.1)
         assert res.iterations < 5000
         assert res.test_accuracy == 1.0
         assert res.converged is True
@@ -180,21 +181,37 @@ class TestLinearProbe:
     @pytest.mark.parametrize("num_classes", [2, 3, 5, 9])
     @pytest.mark.parametrize("l2", [1e-4, 0.1])
     def test_matches_the_plain_loop_bit_for_bit(self, num_classes, l2):
-        """Every field, the last gradient norm included, equals that of the
-        loop written with a reduce for the row max and ``np.linalg.norm``.
-        Embeddings are small integers, and with five or more classes
-        classes 2 and 3 have no graphs, so only the classes present are
-        fitted, and the counts still list 2 and 3 at zero."""
+        """Every field, the last gradient norm included (as bytes), equals that
+        of the plain allocating loop, written with reduces for the row max and
+        sum and ``np.linalg.norm``. Embeddings are small integers, and with
+        five or more classes classes 2 and 3 have no graphs, so only the
+        classes present are fitted, and the counts still list 2 and 3 at
+        zero."""
         rng = np.random.default_rng(num_classes)
         x = rng.integers(-3, 4, size=(80, 4)).astype(np.float64)
         present = [c for c in range(num_classes) if num_classes < 5 or c not in (2, 3)]
         y = np.asarray(present)[np.argmax(x @ rng.normal(size=(4, len(present))), axis=1)]
         res = linear_probe(x, y, split_seed=0, l2=l2)
-        assert dataclasses.asdict(res) == linear_probe_reference(x, y, split_seed=0, l2=l2)
+        ref = linear_probe_reference(x, y, split_seed=0, l2=l2)
+        assert dataclasses.asdict(res) == ref
+        assert np.float64(res.grad_norm).tobytes() == np.float64(ref["grad_norm"]).tobytes()
         # the cases cover both stops: the cap at l2 = 1e-4, and the gradient
         # tolerance at l2 = 0.1, which an empty class no longer keeps out of reach
         assert res.converged is (l2 == 0.1)
         assert res.converged is (res.iterations < PROBE_MAX_ITERS)
+
+    @pytest.mark.parametrize("l2", [1e-4, 0.1])
+    def test_ten_classes_match_the_plain_loop_bit_for_bit(self, l2):
+        """From 8 fitted classes on, numpy sums a row pairwise rather than left
+        to right, and the probe's row sum is its reduce again."""
+        rng = np.random.default_rng(10)
+        y = rng.permutation(np.arange(150) % 10)
+        x = rng.normal(size=(150, 6)) + 0.5 * rng.normal(size=(10, 6))[y]
+        res = linear_probe(x, y, split_seed=0, l2=l2)
+        assert len(res.train_class_counts) == 10 and min(res.train_class_counts.values()) > 0
+        ref = linear_probe_reference(x, y, split_seed=0, l2=l2)
+        assert dataclasses.asdict(res) == ref
+        assert np.float64(res.grad_norm).tobytes() == np.float64(ref["grad_norm"]).tobytes()
 
     def test_newton_oracle_reaches_the_stopping_tolerance(self):
         """Newton's method on the probe's objective (cross-entropy plus

@@ -26,7 +26,11 @@ benchmark's ``eval-planted`` do (``embed_graphs``, ``linear_probe``,
 unwrapped after a warm-up pass, then once wrapped. Every op in it runs
 value-only. It prints both pass times, the tape records its ops made (none),
 ``linear_probe``'s milliseconds and each op's forward milliseconds and calls.
-A run takes a few seconds.
+
+Before it wraps anything, it traces the memory of one more N = 32 step and of
+one more eval pass with ``tracemalloc``, each in its own untimed run (tracing
+slows what it traces), and prints each run's traced peak: the most memory its
+own allocations held at once. A run takes a few seconds.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import inspect  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from collections import defaultdict  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -166,6 +171,16 @@ def eval_pass(dataset, state, config) -> tuple[float, float]:
     return time.perf_counter() - start, probe_s
 
 
+def traced_peak_mib(run) -> float:
+    """The traced peak of the allocations ``run()`` makes, in MiB."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def print_ops(profile, per: float, vjps: bool) -> None:
     """Each op's forward (and VJP) milliseconds and calls, times ``per``."""
     names = sorted(profile.fwd_calls, key=lambda k: -(profile.fwd_s[k] + profile.vjp_s[k]))
@@ -191,6 +206,8 @@ def main() -> int:
     plain_ms = median_step_ms(state, batches * PASSES, config)
     eval_pass(dataset, state, config)
     plain_eval_s, _ = eval_pass(dataset, state, config)
+    step_peak = traced_peak_mib(lambda: train_step(state, batches[0], config))
+    eval_peak = traced_peak_mib(lambda: eval_pass(dataset, state, config))
     profile = OpProfile()
     profile.install()
     wrapped_ms = median_step_ms(state, batches * PASSES, config)
@@ -201,6 +218,8 @@ def main() -> int:
     print(f"{GRAPHS} planted graphs, seed {SEED}, N = {config.batch_size}, "
           f"{steps} steps after one warm-up pass, one BLAS thread")
     print(f"step ms (median): unwrapped {plain_ms:.2f}, wrapped {wrapped_ms:.2f}")
+    print(f"traced peak MiB (tracemalloc, one untimed run each): N = {config.batch_size} "
+          f"step {step_peak:.2f}, eval pass {eval_peak:.2f}")
     print(f"per wrapped step: {profile.records * per:.1f} tape records, "
           f"{profile.scatter_blocks * per:.1f} _scatter_block calls, "
           f"backward {1e3 * profile.backward_s * per:.3f} ms")

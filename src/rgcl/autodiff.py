@@ -5,9 +5,11 @@ design is deliberately small: a ``Tensor`` wraps a numpy float64 array and an
 optional handle into a ``Tape``; ops are plain functions that compute values
 eagerly and, when any operand is tracked, append a record with the local
 vector-Jacobian rules. ``backward`` replays the records in reverse and
-accumulates gradients wherever a node fans out. On untracked operands the
-ops that keep VJP state (masks, softmax weights) build none of it, and no op
-writes in place into any array but one it allocated itself.
+accumulates gradients wherever a node fans out, freeing each record (and the
+forward arrays its VJPs captured) and each intermediate gradient as soon as
+it has used them, so only leaf gradients outlive it. On untracked operands
+the ops that keep VJP state (masks, softmax weights) build none of it, and no
+op writes in place into any array but one it allocated itself.
 
 A tape is built during a single forward pass and consumed by a single
 backward pass; reusing a consumed tape is an error rather than a silent
@@ -76,14 +78,17 @@ class Tape:
 
     def __init__(self):
         # one (output node id, ((input node id, vjp grad_out -> grad_in), ...))
-        # tuple per recorded op, in forward order
+        # tuple per recorded op, in forward order; backward pops them
         self._records: list[tuple[int, tuple]] = []
+        self._leaves: set[int] = set()
         self._next_id = 0
         self._consumed = False
 
     @property
     def num_records(self) -> int:
-        return len(self._records)
+        """Records the forward pass made, also after ``backward`` dropped them:
+        every node is a leaf or the output of one record."""
+        return self._next_id - len(self._leaves)
 
     def leaf(self, values) -> Tensor:
         """Register an input node (typically a parameter) on this tape."""
@@ -98,11 +103,17 @@ class Tape:
         self._next_id += 1
         if inputs:
             self._records.append((out.node_id, inputs))
+        else:
+            self._leaves.add(out.node_id)
         return out
 
 
 class GradientStore:
-    """Gradients keyed by tape node, indexable with the tensors themselves."""
+    """Leaf gradients keyed by tape node, indexable with the tensors themselves.
+
+    ``backward`` keeps no gradient of an intermediate node, so asking for one
+    raises ``ValueError``; a leaf the loss does not reach gets zeros.
+    """
 
     def __init__(self, tape: Tape, grads: dict[int, np.ndarray]):
         self._tape = tape
@@ -111,19 +122,24 @@ class GradientStore:
     def __getitem__(self, t: Tensor) -> np.ndarray:
         if t.tape is not self._tape or t.node_id is None:
             raise ValueError("tensor is not tracked on this tape")
+        if t.node_id not in self._tape._leaves:
+            raise ValueError(f"node {t.node_id} is not a leaf; backward keeps leaf gradients only")
         g = self._grads.get(t.node_id)
         if g is None:
-            # Reachable-from-nothing nodes (e.g. an unused parameter) get a
-            # well-defined zero gradient of the right shape.
+            # A leaf the loss does not reach (e.g. an unused parameter) gets
+            # a well-defined zero gradient of the right shape.
             return np.zeros(t.shape)
         return g
 
 
 def backward(tape: Tape, loss: Tensor) -> GradientStore:
-    """Reverse sweep: d(loss)/d(node) for every node on the tape.
+    """Reverse sweep: d(loss)/d(leaf) for every leaf on the tape.
 
     ``loss`` must be a scalar recorded on ``tape``. Consumes the tape; a
-    second call raises rather than silently recomputing.
+    second call raises rather than silently recomputing. Each record is
+    dropped once replayed, and each node's gradient once its own record has
+    read it (all of a node's consumers come later on the tape, so it is
+    complete by then); the returned store holds leaf gradients only.
     """
     if loss.tape is not tape or loss.node_id is None:
         raise ValueError("loss is not tracked on this tape")
@@ -134,8 +150,10 @@ def backward(tape: Tape, loss: Tensor) -> GradientStore:
     tape._consumed = True
 
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.values)}
-    for out_id, inputs in reversed(tape._records):
-        g = grads.get(out_id)
+    records = tape._records
+    while records:
+        out_id, inputs = records.pop()
+        g = grads.pop(out_id, None)
         if g is None:
             continue  # node does not influence the loss
         for node_id, vjp in inputs:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .autodiff import NumericError
 from .encoder import EncoderConfig, EncoderParams, encode_graph
-from .graphs import GraphDataset, batch_graphs
+from .graphs import GraphDataset, GraphFormatError, batch_graphs
 from .params import lift_params
 from .rationale import attribute_nodes, top_k_nodes
 from .training import (
@@ -125,14 +125,14 @@ def linear_probe(
     m = x.shape[0]
     n_train = int(round(train_fraction * m))
     if n_train < 1 or n_train >= m:
-        raise ValueError(f"split leaves an empty side ({n_train} train of {m})")
+        raise GraphFormatError(f"split leaves an empty side ({n_train} train of {m})")
     perm = np.random.default_rng(split_seed).permutation(m)
     tr, te = perm[:n_train], perm[n_train:]
     # fit only the classes the training split holds: a class without
     # training rows has no optimum (its intercept falls without bound)
     fitted = np.unique(y[tr])
     if fitted.size < 2:
-        raise ValueError("train split contains a single class; cannot fit a probe")
+        raise GraphFormatError("train split contains a single class; cannot fit a probe")
 
     xa = np.hstack([x, np.ones((m, 1))])  # intercept column
     onehot = np.eye(fitted.size)[np.searchsorted(fitted, y[tr])]

@@ -24,7 +24,9 @@ from .autodiff import const, gcn_propagate
 
 
 class GraphFormatError(ValueError):
-    """A graph file or payload violates the expected format."""
+    """A graph file or payload violates the expected format, or a dataset
+    cannot serve the run (no graphs, or too few graphs or classes for the
+    probe)."""
 
 
 def require_int(name: str, value) -> int:

@@ -36,8 +36,8 @@ from .encoder import (
     init_params,
 )
 from .graphs import (
-    Graph, GraphDataset, batch_graphs, check_field_types, make_dirs, read_json_object,
-    require_int, require_object, write_text_atomic,
+    Graph, GraphDataset, GraphFormatError, batch_graphs, check_field_types, make_dirs,
+    read_json_object, require_int, require_object, write_text_atomic,
 )
 from .losses import BatchViews, LossReport, project, rgcl_loss
 from .params import assign_arrays, lift_params, named_arrays, named_leaves
@@ -422,7 +422,7 @@ def pretrain(
     """
     variant = normalize_variant(variant)
     if len(dataset) == 0:
-        raise ValueError("cannot pretrain on an empty dataset")
+        raise GraphFormatError("cannot pretrain on an empty dataset")
     if state is None:
         state = init_train_state(config, dataset.feature_dim)
 

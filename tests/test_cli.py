@@ -348,6 +348,36 @@ class TestDataErrors:
         assert "data error: dataset feature width 5" in err and "input width 4" in err
         assert not out.exists()
 
+    def test_pretrain_on_an_empty_dataset_exits_3(self, workspace, capsys):
+        tmp, _, _ = workspace
+        empty = write_json(tmp / "empty.json", {"graphs": [], "feature_dim": 4})
+        config = dict(CONFIG_CORE, dataset={"json": empty}, output_dir=str(tmp / "run"))
+        assert main(["pretrain", "--config", write_json(tmp / "cfg.json", config)]) == 3
+        assert "data error: cannot pretrain on an empty dataset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case, message", [
+        ("one-class", "train split contains a single class; cannot fit a probe"),
+        ("two-graph", "split leaves an empty side (2 train of 2)"),
+    ])
+    def test_eval_on_a_dataset_the_probe_cannot_fit_exits_3(self, workspace, capsys,
+                                                            case, message):
+        tmp, config_path, data_path = workspace
+        assert main(["pretrain", "--config", config_path]) == 0
+        payload = json.loads(data_path.read_text())
+        if case == "one-class":
+            for graph in payload["graphs"]:
+                graph["y"] = 0
+        else:
+            payload["graphs"] = payload["graphs"][:2]
+        small = write_json(tmp / "small.json", payload)
+        config = dict(json.loads((tmp / "config.json").read_text()), dataset={"json": small})
+        argv = ["eval", "--config", write_json(tmp / "small_cfg.json", config),
+                "--checkpoint", str(tmp / "run" / "ckpt_final.json")]
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert f"data error: {message}" in capsys.readouterr().err
+        assert not (tmp / "run" / "results.json").exists()
+
     def test_non_finite_features_exit_3(self, workspace, capsys):
         tmp, config_path, data_path = workspace
         payload = json.loads(data_path.read_text())

@@ -14,18 +14,26 @@ op counts only for itself. No file of the package changes.
 
 The run uses 500 planted-motif graphs (``PlantedMotifSpec(seed=1)``),
 ``TrainConfig(seed=1)`` (N = 32 anchors) and one BLAS thread. It takes the 15
-full batches of one shuffle, steps through them once to build each graph's
-cached constants, then ``PASSES`` times unwrapped and ``PASSES`` times
-wrapped. It prints the median step time of both runs and, per wrapped step,
-the tape records, ``_scatter_block`` calls, ``backward`` milliseconds, and
-each op's forward and VJP milliseconds and calls.
+full batches of one shuffle, steps through them once and runs one eval pass
+(below) to build each graph's cached constants, then steps through them
+``PASSES`` times unwrapped and ``PASSES`` times wrapped. It prints the median step time of both runs, the median minor page
+faults of an unwrapped step and, per wrapped step, the tape records, the row
+scatters (``_scatter_rows`` calls) and the ``_scatter_block`` calls they made
+(more blocks than scatters means some scatter ran in column blocks),
+``backward`` milliseconds, and each op's forward and VJP milliseconds and
+calls.
 
 It then runs one eval pass on the 500 graphs, as ``rgcl eval`` and the
 benchmark's ``eval-planted`` do (``embed_graphs``, ``linear_probe``,
 ``rationale_precision``, ``view_similarities``), on the stepped state: once
-unwrapped after a warm-up pass, then once wrapped. Every op in it runs
-value-only. It prints both pass times, the tape records its ops made (none),
-``linear_probe``'s milliseconds and each op's forward milliseconds and calls.
+unwrapped right after the unwrapped steps, as the benchmark's cycle runs its
+eval passes after training, then once wrapped. Every op in it runs
+value-only. It prints both pass times, the minor page faults of the unwrapped
+pass, the tape records its ops made (none), its row scatters and
+``_scatter_block`` calls, ``linear_probe``'s milliseconds and each op's forward
+milliseconds and calls. Page faults (``ru_minflt``) count the pages the process
+touched for the first time, among them the heap that a phase grows again after
+the allocator gave it back.
 
 Before it wraps anything, it traces the memory of one more N = 32 step and of
 one more eval pass with ``tracemalloc``, each in its own untimed run (tracing
@@ -41,6 +49,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import inspect  # noqa: E402
+import resource  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 import tracemalloc  # noqa: E402
@@ -71,6 +80,7 @@ class OpProfile:
         self.fwd_calls = defaultdict(int)
         self.vjp_s = defaultdict(float)
         self.vjp_calls = defaultdict(int)
+        self.scatters = 0
         self.scatter_blocks = 0
         self.recorded = 0  # op calls that appended a tape record
         self.records = 0
@@ -113,7 +123,8 @@ class OpProfile:
 
     def install(self) -> None:
         """Wrap each op at every rgcl module that holds it, and count
-        ``_scatter_block`` calls and the records each ``backward`` replays."""
+        ``_scatter_rows`` and ``_scatter_block`` calls and the records each
+        ``backward`` replays."""
         ops = {
             name: fn for name, fn in vars(ad).items()
             if inspect.isfunction(fn) and fn.__module__ == ad.__name__
@@ -125,7 +136,11 @@ class OpProfile:
                 for name, fn in ops.items():
                     if value is fn:
                         setattr(module, attr, self.op(name, fn))
-        scatter_block, backward = ad._scatter_block, ad.backward
+        scatter_rows, scatter_block, backward = ad._scatter_rows, ad._scatter_block, ad.backward
+
+        def counted_scatter_rows(*args, **kwargs):
+            self.scatters += 1
+            return scatter_rows(*args, **kwargs)
 
         def counted_scatter_block(*args):
             self.scatter_blocks += 1
@@ -139,7 +154,8 @@ class OpProfile:
             finally:
                 self.backward_s += time.perf_counter() - start
 
-        ad._scatter_block, ad.backward = counted_scatter_block, timed_backward
+        ad._scatter_rows, ad._scatter_block = counted_scatter_rows, counted_scatter_block
+        ad.backward = timed_backward
 
 
 def full_batches(dataset, config):
@@ -150,25 +166,32 @@ def full_batches(dataset, config):
             for lo in range(0, len(perm) - n + 1, n)]
 
 
-def median_step_ms(state, batches, config) -> float:
-    times = []
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def median_step(state, batches, config) -> tuple[float, float]:
+    """The median milliseconds and minor page faults of a step over ``batches``."""
+    times, faults = [], []
     for batch in batches:
-        start = time.perf_counter()
+        start, start_faults = time.perf_counter(), minor_faults()
         train_step(state, batch, config)
         times.append(time.perf_counter() - start)
-    return 1e3 * float(np.median(times))
+        faults.append(minor_faults() - start_faults)
+    return 1e3 * float(np.median(times)), float(np.median(faults))
 
 
-def eval_pass(dataset, state, config) -> tuple[float, float]:
-    """One eval pass: its seconds and those of its ``linear_probe``."""
-    start = time.perf_counter()
+def eval_pass(dataset, state, config) -> tuple[float, float, int]:
+    """One eval pass: its seconds, those of its ``linear_probe`` and its minor
+    page faults."""
+    start, start_faults = time.perf_counter(), minor_faults()
     emb = evaluation.embed_graphs(dataset, state.encoder, config.encoder_config())
     probe_start = time.perf_counter()
     evaluation.linear_probe(emb, dataset.labels(), split_seed=config.seed)
     probe_s = time.perf_counter() - probe_start
     evaluation.rationale_precision(dataset, state.generator, config.generator_config())
     evaluation.view_similarities(dataset, state, config, sample_seed=config.seed)
-    return time.perf_counter() - start, probe_s
+    return time.perf_counter() - start, probe_s, minor_faults() - start_faults
 
 
 def traced_peak_mib(run) -> float:
@@ -202,15 +225,15 @@ def main() -> int:
     config = TrainConfig(seed=SEED)
     batches = full_batches(dataset, config)
     state = init_train_state(config, dataset.feature_dim)
-    median_step_ms(state, batches, config)
-    plain_ms = median_step_ms(state, batches * PASSES, config)
+    median_step(state, batches, config)
     eval_pass(dataset, state, config)
-    plain_eval_s, _ = eval_pass(dataset, state, config)
+    plain_ms, step_faults = median_step(state, batches * PASSES, config)
+    plain_eval_s, _, eval_faults = eval_pass(dataset, state, config)
     step_peak = traced_peak_mib(lambda: train_step(state, batches[0], config))
     eval_peak = traced_peak_mib(lambda: eval_pass(dataset, state, config))
     profile = OpProfile()
     profile.install()
-    wrapped_ms = median_step_ms(state, batches * PASSES, config)
+    wrapped_ms, _ = median_step(state, batches * PASSES, config)
 
     steps = len(batches) * PASSES
     per = 1.0 / steps
@@ -218,19 +241,22 @@ def main() -> int:
     print(f"{GRAPHS} planted graphs, seed {SEED}, N = {config.batch_size}, "
           f"{steps} steps after one warm-up pass, one BLAS thread")
     print(f"step ms (median): unwrapped {plain_ms:.2f}, wrapped {wrapped_ms:.2f}")
+    print(f"minor page faults (unwrapped): step (median) {step_faults:.0f}, "
+          f"eval pass {eval_faults}")
     print(f"traced peak MiB (tracemalloc, one untimed run each): N = {config.batch_size} "
           f"step {step_peak:.2f}, eval pass {eval_peak:.2f}")
     print(f"per wrapped step: {profile.records * per:.1f} tape records, "
+          f"{profile.scatters * per:.1f} row scatters in "
           f"{profile.scatter_blocks * per:.1f} _scatter_block calls, "
           f"backward {1e3 * profile.backward_s * per:.3f} ms")
     print_ops(profile, per, vjps=True)
 
     profile.reset()
-    wrapped_eval_s, probe_s = eval_pass(dataset, state, config)
+    wrapped_eval_s, probe_s, _ = eval_pass(dataset, state, config)
     print()
     print(f"eval pass on the {GRAPHS} graphs, value-only: unwrapped {1e3 * plain_eval_s:.1f} ms, "
           f"wrapped {1e3 * wrapped_eval_s:.1f} ms, {profile.recorded} tape records, "
-          f"{profile.scatter_blocks} _scatter_block calls")
+          f"{profile.scatters} row scatters in {profile.scatter_blocks} _scatter_block calls")
     print(f"linear_probe {1e3 * probe_s:.1f} ms (wrapped pass)")
     print_ops(profile, 1.0, vjps=False)
     return 0

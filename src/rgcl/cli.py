@@ -20,6 +20,8 @@ import sys
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from .autodiff import NumericError
 from .datasets import PlantedMotifSpec, generate_planted_motif_dataset, load_tu_dataset
 from .evaluation import read_out, run_ablation, view_similarities
@@ -307,7 +309,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # every inf or NaN these would warn about ends in a NumericError (exit 4)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (GraphFormatError, CheckpointFormatError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import NumericError
 from .encoder import EncoderConfig, EncoderParams, encode_graph
-from .graphs import GraphDataset, GraphFormatError, batch_graphs
+from .graphs import Graph, GraphDataset, GraphFormatError, batch_graphs
 from .params import lift_params
 from .rationale import attribute_nodes, top_k_nodes
 from .training import (
@@ -40,14 +41,42 @@ PROBE_STOP_NORM = 1e-6
 PROBE_MAX_ITERS = 5000
 
 
+def _chunks(dataset: GraphDataset, config: EncoderConfig) -> list[list[Graph]]:
+    """The dataset's graphs cut into consecutive chunks, each the longest run
+    whose edge messages and node activations at the encoder's widest scatter
+    each fit in one ``autodiff.SCATTER_BLOCK``, except that every chunk holds
+    at least two graphs when the dataset does: a graph that alone exceeds the
+    budget shares its chunk with one neighbour (its scatters run in column
+    blocks), and a last graph left over joins the chunk before it.
+
+    Encoding chunk by chunk bounds an eval pass's temporaries, and each graph's
+    rows stay those of one batch of all the graphs bit for bit: every scatter
+    bin adds its terms in edge order, pooling is per graph, and BLAS gives a
+    row of a product with two or more rows and columns the same bits however
+    many rows share it. A one-row product takes another BLAS path (gemv) with
+    other bits, hence the two graphs."""
+    graphs = list(dataset.graphs)
+    width = max(dataset.feature_dim, *config.layer_dims)
+    chunks, lo, edges, nodes = [], 0, 0, 0
+    for i, g in enumerate(graphs):
+        edges, nodes = edges + g.num_edges, nodes + g.num_nodes
+        if lo + 1 < i < len(graphs) - 1 and max(edges, nodes) * width > ad.SCATTER_BLOCK:
+            chunks.append(graphs[lo:i])
+            lo, edges, nodes = i, g.num_edges, g.num_nodes
+    return chunks + [graphs[lo:]]
+
+
 def embed_graphs(
     dataset: GraphDataset, encoder_params: EncoderParams, config: EncoderConfig
 ) -> np.ndarray:
-    """[M, d] full-graph embeddings: no attribution weighting, no projector."""
+    """[M, d] full-graph embeddings: no attribution weighting, no projector.
+    The graphs are encoded in consecutive chunks (:func:`_chunks`)."""
     if len(dataset) == 0:
         return np.zeros((0, config.output_dim))
-    batch = batch_graphs(list(dataset.graphs))
-    return encode_graph(batch, encoder_params, config).values
+    return np.concatenate([
+        encode_graph(batch_graphs(chunk), encoder_params, config).values
+        for chunk in _chunks(dataset, config)
+    ])
 
 
 @dataclass(frozen=True)
@@ -256,20 +285,26 @@ def view_similarities(
     dataset, with views drawn fresh from ``sample_seed``.
 
     Projections are unit rows, so the cosine is a plain row dot product.
+    The graphs are drawn and encoded in consecutive chunks (:func:`_chunks`),
+    all drawn from one generator in graph order, so the views are those of a
+    draw over all the graphs at once.
     """
     variant = normalize_variant(variant)
     if variant == "no_independence":
         raise ValueError("that variant draws no complements to compare against")
-    graphs = list(dataset.graphs)
+    if len(dataset) == 0:
+        raise ValueError("view_similarities needs at least one graph")
     rng = np.random.default_rng(sample_seed)
-    selections = sample_selections(graphs, state.generator, config, rng, variant)
-    views = encode_views(
-        graphs, selections, state.encoder, state.generator, state.projector,
-        config, variant,
-    )
-    pos = np.sum(views.r1.values * views.r2.values, axis=1)
-    comp = np.sum(views.r1.values * views.c.values, axis=1)
-    return float(pos.mean()), float(comp.mean())
+    pos, comp = [], []
+    for chunk in _chunks(dataset, config.encoder_config()):
+        selections = sample_selections(chunk, state.generator, config, rng, variant)
+        views = encode_views(
+            chunk, selections, state.encoder, state.generator, state.projector,
+            config, variant,
+        )
+        pos.append(np.sum(views.r1.values * views.r2.values, axis=1))
+        comp.append(np.sum(views.r1.values * views.c.values, axis=1))
+    return float(np.concatenate(pos).mean()), float(np.concatenate(comp).mean())
 
 
 @dataclass

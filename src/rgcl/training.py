@@ -367,11 +367,10 @@ def train_step(
     """One optimization step over a batch of anchor graphs (N >= 2)."""
     if len(graphs) < 2:
         raise ValueError(f"train_step needs at least 2 graphs, got {len(graphs)}")
-    selections = sample_selections(graphs, state.generator, config, state.rng, variant)
-
     tape = ad.Tape()
     lifted = lift_params(state.params, tape)
     try:
+        selections = sample_selections(graphs, state.generator, config, state.rng, variant)
         total, report, views = batch_views_loss(
             graphs, selections, lifted.encoder, lifted.generator, lifted.projector,
             config, variant,

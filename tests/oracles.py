@@ -189,6 +189,22 @@ def encode_views_per_view(graphs, selections, encoder, generator, projector, con
     return BatchViews(*[tower(tower_views) for tower_views in views])
 
 
+def view_similarities_one_batch(dataset, state, config, sample_seed=0, variant="full"):
+    """``evaluation.view_similarities`` over one batch of all the graphs: one
+    ``sample_selections`` and one ``encode_views`` call, then the means of the
+    (r1, r2) and (r1, c) row dot products."""
+    from rgcl.training import encode_views, sample_selections
+
+    graphs = list(dataset.graphs)
+    rng = np.random.default_rng(sample_seed)
+    selections = sample_selections(graphs, state.generator, config, rng, variant)
+    views = encode_views(graphs, selections, state.encoder, state.generator, state.projector,
+                         config, variant)
+    pos = np.sum(views.r1.values * views.r2.values, axis=1)
+    comp = np.sum(views.r1.values * views.c.values, axis=1)
+    return float(pos.mean()), float(comp.mean())
+
+
 def gcn_coefs_fresh(edges, num_nodes):
     """GCN's ``(edge_coef, self_coef)`` for one edge list, computed from scratch
     the way a GCN layer computes them for each call: the degree counts

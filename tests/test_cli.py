@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -521,6 +522,22 @@ class TestNumericErrors:
         with np.errstate(invalid="ignore"):  # inf * 0 inside the forward
             assert main(["eval", "--config", config_path,
                          "--checkpoint", str(ckpt)]) == 4
+
+    def test_diverging_pretrain_exits_4_with_one_line_naming_the_step(self, workspace, capsys):
+        """A learning rate of 1e300 blows the parameters up after step 0, so
+        step 1's Phase A scores overflow. The run prints no numpy warning, only
+        the one line that names the step."""
+        tmp, _, data_path = workspace
+        config = dict(CONFIG_CORE, learning_rate=1e300, dataset={"json": str(data_path)},
+                      output_dir=str(tmp / "run"))
+        config_path = write_json(tmp / "diverging.json", config)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["pretrain", "--config", config_path]) == 4
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: step 1: ")
+        assert err.count("\n") == 1 and "RuntimeWarning" not in err
 
     def test_sweep_cell_with_non_finite_embeddings_exits_4(self, workspace, monkeypatch):
         tmp, config_path, _ = workspace

@@ -28,8 +28,8 @@ It covers:
 * on that input, after a one-epoch ``TrainConfig(seed=1)`` pretrain, the
   ``embed_graphs`` embeddings and the two ``view_similarities`` mean cosines
   (views drawn from the config's seed), as ``eval-planted`` computes them.
-  Their 500-graph batches are the ones large enough to scatter edge messages
-  in several column blocks;
+  Both encode the 500 graphs in four chunks that each fit one scatter block,
+  so these digests check that chunking keeps the bits of one batch;
 * with that state's scorer, one ``sample_rationale`` and one
   ``sample_complement`` view of each of the first four of those graphs at
   rho 0.3 and 1.0, each drawn from ``default_rng(graph index)``: the kept

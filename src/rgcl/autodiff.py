@@ -30,9 +30,9 @@ import numpy as np
 NORM_EPS = 1e-12
 
 # Most elements of an [E, d] edge-message array (and of its int64 flat index)
-# that a row scatter builds at once; wider scatters run in column blocks. The
-# 500-graph eval batches (about 30k directed edges at d = 32) take four blocks;
-# every training tower and per-graph scorer call fits in one.
+# that a row scatter builds at once; wider scatters run in column blocks.
+# evaluation encodes its graphs in chunks sized by this budget, so every eval
+# chunk, training tower and per-graph scorer call fits in one block.
 SCATTER_BLOCK = 2**18
 
 

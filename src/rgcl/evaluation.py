@@ -292,8 +292,6 @@ def view_similarities(
     variant = normalize_variant(variant)
     if variant == "no_independence":
         raise ValueError("that variant draws no complements to compare against")
-    if len(dataset) == 0:
-        raise ValueError("view_similarities needs at least one graph")
     rng = np.random.default_rng(sample_seed)
     pos, comp = [], []
     for chunk in _chunks(dataset, config.encoder_config()):

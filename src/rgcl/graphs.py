@@ -29,12 +29,15 @@ class GraphFormatError(ValueError):
     probe)."""
 
 
-def require_int(name: str, value) -> int:
-    """Return ``value`` as an int if it is an integer, else raise
-    ``ValueError`` naming ``name``. bool is an int subclass, but a JSON
-    true/false in an integer field is a typo, not a 1/0."""
+def require_int(name: str, value, minimum: int | None = None) -> int:
+    """Return ``value`` as an int if it is an integer (no less than
+    ``minimum``, when given), else raise ``ValueError`` naming ``name``.
+    bool is an int subclass, but a JSON true/false in an integer field is a
+    typo, not a 1/0."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValueError(f"{name}: must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name}: must be >= {minimum}, got {value}")
     return int(value)
 
 
@@ -373,11 +376,14 @@ def dataset_from_json(obj: dict) -> GraphDataset:
             if not np.isfinite(x).all():
                 raise ValueError("node features must be finite (found NaN or inf)")
             edges = canonical_edges(item.get("edges", []), x.shape[0])
+            label = require_int("y", item["y"]) if "y" in item else None
+            if label is not None and not -(2**63) <= label < 2**63:
+                raise ValueError(f"y: label {label} does not fit in int64")
             graphs.append(
                 Graph(
                     node_features=x,
                     edges=edges,
-                    label=require_int("y", item["y"]) if "y" in item else None,
+                    label=label,
                     rationale_mask=item.get("rationale"),
                 )
             )

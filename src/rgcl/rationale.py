@@ -49,10 +49,6 @@ class AttributionScores:
         if abs(float(v.sum()) - 1.0) > 1e-9:
             raise ValueError("attribution probabilities must sum to 1")
 
-    @property
-    def num_nodes(self) -> int:
-        return self.probs.shape[0]
-
 
 @dataclass
 class View:

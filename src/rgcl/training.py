@@ -53,7 +53,7 @@ from .rationale import (
 # perfbench's tracer wraps rgcl.training.<name> for these, so the names stay importable here
 from .rationale import complement_from_kept, gumbel_top_k, rationale_from_kept  # noqa: F401
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 ADAM_DECAYS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 VARIANTS = ("full", "no_rationale_views", "no_independence")
@@ -177,8 +177,7 @@ class TrainState:
     opt_v: dict[str, np.ndarray]
     step: int
     rng: np.random.Generator
-    epoch: int = 0
-    epoch_cursor: int = 0
+    # seeds the current epoch's shuffle; ``step`` fixes the epoch and the cursor
     epoch_perm_seed: int | None = None
     loss_history: list[float] = field(default_factory=list)
     encoder_passes: PassCounter = field(default_factory=PassCounter)
@@ -408,22 +407,27 @@ def pretrain(
     output_dir=None,
     variant: str = "full",
 ) -> TrainState:
-    """Run the full pre-training loop: ``epochs x ceil(M / batch_size)`` steps
-    with a fresh shuffle per epoch.
+    """Run the pre-training loop until ``state.step`` reaches
+    ``epochs * ceil(M / batch_size)``, with a fresh shuffle per epoch.
 
-    Passing a loaded ``state`` resumes exactly where it stopped (including
-    mid-epoch); a resumed run reproduces the uninterrupted one step for
-    step. With an ``output_dir``, per-step metrics go to ``metrics.jsonl``
-    and checkpoints are written every ``checkpoint_every`` steps plus at the
-    end. Resuming into the directory of the interrupted run first drops the
-    metrics lines past the loaded step, so the file ends up byte-identical
-    to that of a run that never stopped.
+    The step count alone fixes the epoch and the batch within it. Passing a
+    loaded ``state`` resumes exactly where it stopped (a mid-epoch one needs
+    its ``epoch_perm_seed``); a resumed run reproduces the uninterrupted one
+    step for step. With an ``output_dir``, per-step metrics go to
+    ``metrics.jsonl`` and checkpoints are written every ``checkpoint_every``
+    steps plus at the end. Resuming into the directory of the interrupted
+    run first drops the metrics lines past the loaded step, so the file ends
+    up byte-identical to that of a run that never stopped.
     """
     variant = normalize_variant(variant)
     if len(dataset) == 0:
         raise GraphFormatError("cannot pretrain on an empty dataset")
     if state is None:
         state = init_train_state(config, dataset.feature_dim)
+    m_total = len(dataset)
+    per_epoch = -(-m_total // config.batch_size)
+    if state.step % per_epoch and state.epoch_perm_seed is None:
+        raise ValueError(f"step {state.step} is mid-epoch but the state holds no epoch shuffle")
 
     out = None
     writer = None
@@ -435,16 +439,14 @@ def pretrain(
             _cut_metrics(metrics, state.step)
         writer = open(metrics, "a" if state.step > 0 else "w")
 
-    m_total = len(dataset)
     try:
-        while state.epoch < config.epochs:
-            if state.epoch_perm_seed is None:
+        while state.step < config.epochs * per_epoch:
+            if state.step % per_epoch == 0:
                 state.epoch_perm_seed = int(state.rng.integers(2**63))
-                state.epoch_cursor = 0
             perm = np.random.default_rng(state.epoch_perm_seed).permutation(m_total)
-            while state.epoch_cursor < m_total:
-                idx = perm[state.epoch_cursor : state.epoch_cursor + config.batch_size]
-                advance = len(idx)
+            for cursor in range(state.step % per_epoch * config.batch_size, m_total,
+                                config.batch_size):
+                idx = perm[cursor : cursor + config.batch_size]
                 if len(idx) == 1:
                     # a trailing singleton cannot form a contrastive batch;
                     # borrow the epoch's first graph to pair it up
@@ -454,12 +456,8 @@ def pretrain(
                 if writer is not None:
                     writer.write(json.dumps(report.metrics_line(state.step)) + "\n")
                     writer.flush()
-                state.epoch_cursor += advance
                 if out is not None and state.step % config.checkpoint_every == 0:
                     save_checkpoint(state, out / f"ckpt_{state.step:06d}.json", config)
-            state.epoch += 1
-            state.epoch_cursor = 0
-            state.epoch_perm_seed = None
         if out is not None:
             save_checkpoint(state, out / "ckpt_final.json", config)
     finally:
@@ -523,8 +521,6 @@ def save_checkpoint(state: TrainState, path, config: TrainConfig) -> None:
         "opt": {"m": _pack_arrays(state.opt_m), "v": _pack_arrays(state.opt_v)},
         "rng": {
             "master": state.rng.bit_generator.state,
-            "epoch": state.epoch,
-            "epoch_cursor": state.epoch_cursor,
             "epoch_perm_seed": state.epoch_perm_seed,
         },
     }
@@ -561,13 +557,12 @@ def load_checkpoint(path, expected_config: TrainConfig | None = None):
         assign_arrays(state.params, _unpack_section(payload["params"], "params", model))
         state.opt_m = _unpack_section(opt["m"], "opt.m", model)
         state.opt_v = _unpack_section(opt["v"], "opt.v", model)
-        state.step = require_int("step", payload["step"])
+        state.step = require_int("step", payload["step"], minimum=0)
         rng_info = require_object(payload["rng"], CheckpointFormatError, "rng section")
         state.rng.bit_generator.state = rng_info["master"]
-        state.epoch = require_int("rng.epoch", rng_info["epoch"])
-        state.epoch_cursor = require_int("rng.epoch_cursor", rng_info["epoch_cursor"])
         seed = rng_info["epoch_perm_seed"]
-        state.epoch_perm_seed = None if seed is None else require_int("rng.epoch_perm_seed", seed)
+        state.epoch_perm_seed = None if seed is None else require_int(
+            "rng.epoch_perm_seed", seed, minimum=0)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointFormatError(f"{p}: {exc}") from exc
     return state, config

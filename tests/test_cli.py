@@ -476,16 +476,21 @@ class TestDataErrors:
         assert not (tmp / "run").exists()
 
     @pytest.mark.parametrize(
-        "field_path, bad",
+        "field_path, bad, complaint",
         [
-            (("step",), lambda v: v + 0.7),
-            (("rng", "epoch"), lambda v: True),
-            (("rng", "epoch_cursor"), str),
-            (("input_dim",), float),
+            (("step",), lambda v: v + 0.7, "must be an integer"),
+            (("rng", "epoch_perm_seed"), lambda v: True, "must be an integer"),
+            (("rng", "epoch_perm_seed"), str, "must be an integer"),
+            (("input_dim",), float, "must be an integer"),
+            (("step",), lambda v: -3, "must be >= 0, got -3"),
+            (("rng", "epoch_perm_seed"), lambda v: -1, "must be >= 0, got -1"),
         ],
-        ids=["step-float", "epoch-bool", "epoch-cursor-string", "input-dim-whole-float"],
+        ids=["step-float", "perm-seed-bool", "perm-seed-string", "input-dim-whole-float",
+             "step-negative", "perm-seed-negative"],
     )
-    def test_non_integer_checkpoint_field_exits_3(self, workspace, capsys, field_path, bad):
+    def test_non_integer_checkpoint_field_exits_3(
+        self, workspace, capsys, field_path, bad, complaint
+    ):
         tmp, config_path, _ = workspace
         assert main(["pretrain", "--config", config_path]) == 0
         ckpt = tmp / "run" / "ckpt_final.json"
@@ -498,7 +503,21 @@ class TestDataErrors:
         ckpt.write_text(json.dumps(payload))
         capsys.readouterr()
         assert main(["eval", "--config", config_path, "--checkpoint", str(ckpt)]) == 3
-        assert f"{'.'.join(field_path)}: must be an integer" in capsys.readouterr().err
+        assert f"{'.'.join(field_path)}: {complaint}" in capsys.readouterr().err
+        assert not (tmp / "run" / "results.json").exists()
+
+    def test_label_beyond_int64_exits_3_naming_the_graph(self, workspace, capsys):
+        tmp, config_path, data_path = workspace
+        assert main(["pretrain", "--config", config_path]) == 0
+        payload = json.loads(data_path.read_text())
+        payload["graphs"][2]["y"] = 10**30
+        data_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["eval", "--config", config_path,
+                     "--checkpoint", str(tmp / "run" / "ckpt_final.json")]) == 3
+        err = capsys.readouterr().err
+        assert "graph 2: y: label 10" in err and "does not fit in int64" in err
+        assert "Traceback" not in err
         assert not (tmp / "run" / "results.json").exists()
 
     def test_truncated_checkpoint(self, workspace):

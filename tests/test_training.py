@@ -573,7 +573,6 @@ class TestPretrainLoop:
         cfg = tiny_config()  # 10 graphs, batch 4 -> 3 steps/epoch, 2 epochs
         state = pretrain(small_dataset, cfg, output_dir=tmp_path / "run")
         assert state.step == 6
-        assert state.epoch == 2
         lines = (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()
         assert len(lines) == 6
         for i, line in enumerate(lines, start=1):
@@ -638,8 +637,6 @@ class TestCheckpoints:
         loaded, loaded_cfg = load_checkpoint(path)
         assert loaded_cfg == cfg
         assert loaded.step == state.step
-        assert loaded.epoch == state.epoch
-        assert loaded.epoch_cursor == state.epoch_cursor
         assert loaded.epoch_perm_seed == state.epoch_perm_seed
         assert loaded.rng.bit_generator.state == state.rng.bit_generator.state
         a, b = named_arrays(state.params), named_arrays(loaded.params)
@@ -674,7 +671,7 @@ class TestCheckpoints:
 
         state, _ = load_checkpoint(tmp_path / "full" / "ckpt_000002.json")
         assert state.step == 2
-        assert state.epoch_cursor != 0  # genuinely mid-epoch
+        assert state.step % 3 != 0 and state.epoch_perm_seed is not None  # genuinely mid-epoch
         pretrain(small_dataset, cfg, state=state, output_dir=tmp_path / "resumed")
         resumed = (tmp_path / "resumed" / "metrics.jsonl").read_text().splitlines()
         assert resumed == full_lines[2:]
@@ -697,6 +694,57 @@ class TestCheckpoints:
         for name in ("metrics.jsonl", "ckpt_000006.json", "ckpt_final.json"):
             assert (crashed / name).read_bytes() == (full / name).read_bytes(), name
 
+    def test_resume_from_every_checkpoint_matches_the_uninterrupted_run(self, tmp_path):
+        """9 graphs in batches of 4, 4 and a borrowed 1 + 1: 3 steps per
+        epoch, 3 epochs, a checkpoint after every step. Resuming from each
+        one, with one replayed metrics line too many, must rewrite every
+        later artifact byte for byte, across each epoch boundary and each
+        borrowed singleton."""
+        spec = PlantedMotifSpec(
+            motif_size=4, background_size_range=(8, 10), feature_dim=4, seed=5
+        )
+        data = generate_planted_motif_dataset(spec, 9)
+        cfg = tiny_config(epochs=3, checkpoint_every=1)
+        full = tmp_path / "full"
+        pretrain(data, cfg, output_dir=full)
+        lines = (full / "metrics.jsonl").read_text().splitlines(keepends=True)
+        assert len(lines) == 9
+        for step in range(1, 10):
+            crashed = tmp_path / f"crashed-{step}"
+            crashed.mkdir()
+            (crashed / "metrics.jsonl").write_text("".join(lines[: step + 1]))
+            ckpt = f"ckpt_{step:06d}.json"
+            (crashed / ckpt).write_bytes((full / ckpt).read_bytes())
+            state, _ = load_checkpoint(crashed / ckpt)
+            pretrain(data, cfg, state=state, output_dir=crashed)
+            later = [f"ckpt_{s:06d}.json" for s in range(step + 1, 10)]
+            for name in ["metrics.jsonl", *later, "ckpt_final.json"]:
+                assert (crashed / name).read_bytes() == (full / name).read_bytes(), (step, name)
+
+    def test_stray_epoch_keys_in_the_rng_section_are_ignored(self, small_dataset, tmp_path):
+        """The step count fixes the epoch and the cursor, so the fields that
+        once held them cannot steer a resumed run."""
+        cfg = tiny_config()  # 3 steps/epoch, checkpoints at 2, 4, 6
+        pretrain(small_dataset, cfg, output_dir=tmp_path / "full")
+        full_lines = (tmp_path / "full" / "metrics.jsonl").read_text().splitlines()
+        path = tmp_path / "ckpt.json"
+        payload = json.loads((tmp_path / "full" / "ckpt_000002.json").read_text())
+        payload["rng"].update(epoch=-5, epoch_cursor=1000000)
+        path.write_text(json.dumps(payload))
+        state, _ = load_checkpoint(path)
+        pretrain(small_dataset, cfg, state=state, output_dir=tmp_path / "resumed")
+        resumed = (tmp_path / "resumed" / "metrics.jsonl").read_text().splitlines()
+        assert resumed == full_lines[2:]
+
+    def test_mid_epoch_state_without_a_shuffle_is_refused(self, small_dataset, tmp_path):
+        cfg = tiny_config()  # 3 steps/epoch
+        state = init_train_state(cfg, small_dataset.feature_dim)
+        train_step(state, [small_dataset[i] for i in range(4)], cfg)
+        with pytest.raises(ValueError, match="step 1 is mid-epoch"):
+            pretrain(small_dataset, cfg, state=state, output_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+        assert state.step == 1
+
     def test_resume_after_a_finished_run_rewrites_nothing_twice(self, small_dataset, tmp_path):
         cfg = tiny_config()
         run = tmp_path / "run"
@@ -713,7 +761,8 @@ class TestCheckpoints:
         path = tmp_path / "ckpt.json"
         save_checkpoint(state, path, cfg)
         payload = json.loads(path.read_text())
-        assert payload["format_version"] == 2
+        assert payload["format_version"] == 3
+        assert set(payload["rng"]) == {"master", "epoch_perm_seed"}
         assert payload["input_dim"] == small_dataset.feature_dim == 5
         assert "t" not in payload["opt"]
         loaded, loaded_cfg = load_checkpoint(path)
@@ -747,17 +796,20 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
-        "field_path, bad",
+        "field_path, bad, complaint",
         [
-            (("step",), lambda v: v + 0.7),
-            (("rng", "epoch"), lambda v: True),
-            (("rng", "epoch_cursor"), str),
-            (("input_dim",), float),
+            (("step",), lambda v: v + 0.7, "must be an integer"),
+            (("rng", "epoch_perm_seed"), lambda v: True, "must be an integer"),
+            (("rng", "epoch_perm_seed"), lambda v: "7", "must be an integer"),
+            (("input_dim",), float, "must be an integer"),
+            (("step",), lambda v: -3, "must be >= 0, got -3"),
+            (("rng", "epoch_perm_seed"), lambda v: -1, "must be >= 0, got -1"),
         ],
-        ids=["step-float", "epoch-bool", "epoch-cursor-string", "input-dim-whole-float"],
+        ids=["step-float", "perm-seed-bool", "perm-seed-string", "input-dim-whole-float",
+             "step-negative", "perm-seed-negative"],
     )
     def test_non_integer_position_field_names_the_field(
-        self, small_dataset, tmp_path, field_path, bad
+        self, small_dataset, tmp_path, field_path, bad, complaint
     ):
         cfg = tiny_config()
         state = init_train_state(cfg, small_dataset.feature_dim)
@@ -771,7 +823,7 @@ class TestCheckpoints:
             section = section[key]
         section[name] = bad(section[name])
         path.write_text(json.dumps(payload))
-        named = f"{'.'.join(field_path)}: must be an integer"
+        named = f"{'.'.join(field_path)}: {complaint}"
         with pytest.raises(CheckpointFormatError, match=named):
             load_checkpoint(path)
 
@@ -809,7 +861,7 @@ class TestCheckpoints:
         loaded, _ = load_checkpoint(path)
         assert loaded.step == 0
 
-    @pytest.mark.parametrize("version", [1, 99])
+    @pytest.mark.parametrize("version", [1, 2, 99])
     def test_version_mismatch_rejected(self, small_dataset, tmp_path, version):
         cfg = tiny_config()
         state = init_train_state(cfg, small_dataset.feature_dim)
@@ -818,7 +870,7 @@ class TestCheckpoints:
         payload = json.loads(path.read_text())
         payload["format_version"] = version
         path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointFormatError, match=f"version {version} .*reads version 2"):
+        with pytest.raises(CheckpointFormatError, match=f"version {version} .*reads version 3"):
             load_checkpoint(path)
 
     def test_truncated_file_rejected(self, small_dataset, tmp_path):

@@ -38,7 +38,11 @@ the allocator gave it back.
 Before it wraps anything, it traces the memory of one more N = 32 step and of
 one more eval pass with ``tracemalloc``, each in its own untimed run (tracing
 slows what it traces), and prints each run's traced peak: the most memory its
-own allocations held at once. A run takes a few seconds.
+own allocations held at once. It then times the serializers the same way,
+each as the median of ``IO_REPEATS`` runs and then once traced:
+``dataset_hash`` on the 500 graphs, and ``save_checkpoint`` and
+``load_checkpoint`` of the stepped state, in a temporary directory. A run
+takes a few seconds.
 """
 
 from __future__ import annotations
@@ -51,9 +55,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import inspect  # noqa: E402
 import resource  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 import tracemalloc  # noqa: E402
 from collections import defaultdict  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -61,11 +67,14 @@ import rgcl  # noqa: E402
 import rgcl.autodiff as ad  # noqa: E402
 from rgcl import evaluation  # noqa: E402
 from rgcl.datasets import PlantedMotifSpec, generate_planted_motif_dataset  # noqa: E402
-from rgcl.training import TrainConfig, init_train_state, train_step  # noqa: E402
+from rgcl.training import (  # noqa: E402
+    TrainConfig, init_train_state, load_checkpoint, save_checkpoint, train_step,
+)
 
 GRAPHS = 500
 SEED = 1
 PASSES = 2
+IO_REPEATS = 5
 # public functions of rgcl.autodiff that make no tape node of their own
 NOT_OPS = {"const", "backward"}
 
@@ -204,6 +213,27 @@ def traced_peak_mib(run) -> float:
         tracemalloc.stop()
 
 
+def serializer_costs(dataset, state, config) -> tuple[dict[str, tuple[float, float]], int]:
+    """The median milliseconds and the traced peak MiB of ``dataset_hash``,
+    ``save_checkpoint`` and ``load_checkpoint``, and the checkpoint's bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = Path(tmp) / "ckpt.json"
+        runs = {
+            "dataset_hash": lambda: rgcl.dataset_hash(dataset),
+            "save_checkpoint": lambda: save_checkpoint(state, ckpt, config),
+            "load_checkpoint": lambda: load_checkpoint(ckpt),
+        }
+        costs = {}
+        for name, run in runs.items():
+            times = []
+            for _ in range(IO_REPEATS):
+                start = time.perf_counter()
+                run()
+                times.append(time.perf_counter() - start)
+            costs[name] = (1e3 * float(np.median(times)), traced_peak_mib(run))
+        return costs, ckpt.stat().st_size
+
+
 def print_ops(profile, per: float, vjps: bool) -> None:
     """Each op's forward (and VJP) milliseconds and calls, times ``per``."""
     names = sorted(profile.fwd_calls, key=lambda k: -(profile.fwd_s[k] + profile.vjp_s[k]))
@@ -231,6 +261,7 @@ def main() -> int:
     plain_eval_s, _, eval_faults = eval_pass(dataset, state, config)
     step_peak = traced_peak_mib(lambda: train_step(state, batches[0], config))
     eval_peak = traced_peak_mib(lambda: eval_pass(dataset, state, config))
+    io, ckpt_bytes = serializer_costs(dataset, state, config)
     profile = OpProfile()
     profile.install()
     wrapped_ms, _ = median_step(state, batches * PASSES, config)
@@ -245,6 +276,9 @@ def main() -> int:
           f"eval pass {eval_faults}")
     print(f"traced peak MiB (tracemalloc, one untimed run each): N = {config.batch_size} "
           f"step {step_peak:.2f}, eval pass {eval_peak:.2f}")
+    print(f"serializers, ms (median of {IO_REPEATS}) / traced peak MiB: "
+          + ", ".join(f"{name} {ms:.1f} / {peak:.2f}" for name, (ms, peak) in io.items())
+          + f" ({ckpt_bytes} B checkpoint)")
     print(f"per wrapped step: {profile.records * per:.1f} tape records, "
           f"{profile.scatters * per:.1f} row scatters in "
           f"{profile.scatter_blocks * per:.1f} _scatter_block calls, "

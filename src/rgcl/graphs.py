@@ -14,6 +14,7 @@ import json
 import math
 import numbers
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -103,18 +104,20 @@ def make_dirs(directory, path=None) -> None:
         ) from exc
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Create ``path``'s directory, write ``text`` to a sibling temp file and ``os.replace``
-    it onto ``path``: a crash or a failed write leaves the old file whole. A ``path`` that
-    is a directory, or one under a regular file, raises ``ValueError`` before anything
-    is written."""
+def write_text_atomic(path, text: str | Iterable[str]) -> None:
+    """Create ``path``'s directory, write ``text`` (one ``str``, or an iterable of ``str``
+    pieces written in order) to a sibling temp file and ``os.replace`` it onto ``path``:
+    a crash or a failed write, even one partway through the pieces, leaves the old file
+    whole and removes the temp file. A ``path`` that is a directory, or one under a
+    regular file, raises ``ValueError`` before anything is written."""
     path = Path(path)
     if path.is_dir():
         raise ValueError(f"output path {path} is a directory")
     make_dirs(path.parent, path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with tmp.open("w", encoding="utf-8") as f:
+            f.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -347,19 +350,13 @@ def induced_subgraph(g: Graph, keep) -> Graph:
 # JSON interchange
 
 
-def dataset_to_json(ds: GraphDataset) -> dict:
-    graphs = []
-    for g in ds.graphs:
-        item = {
-            "x": [[float(v) for v in row] for row in g.node_features],
-            "edges": [[int(u), int(v)] for u, v in g.edges],
-        }
-        if g.label is not None:
-            item["y"] = int(g.label)
-        if g.rationale_mask is not None:
-            item["rationale"] = [bool(b) for b in g.rationale_mask]
-        graphs.append(item)
-    return {"graphs": graphs, "feature_dim": int(ds.feature_dim)}
+def _graph_to_json(g: Graph) -> dict:
+    item = {"x": g.node_features.tolist(), "edges": g.edges.tolist()}
+    if g.label is not None:
+        item["y"] = int(g.label)
+    if g.rationale_mask is not None:
+        item["rationale"] = g.rationale_mask.tolist()
+    return item
 
 
 def dataset_from_json(obj: dict) -> GraphDataset:
@@ -400,9 +397,15 @@ def dataset_from_json(obj: dict) -> GraphDataset:
         raise GraphFormatError(str(exc)) from exc
 
 
-def _canonical_json(ds: GraphDataset) -> str:
-    """The bytes :func:`save_dataset_json` writes and :func:`dataset_hash` hashes."""
-    return json.dumps(dataset_to_json(ds), sort_keys=True, separators=(",", ":"))
+def _canonical_json(ds: GraphDataset) -> Iterator[str]:
+    """The text :func:`save_dataset_json` writes and :func:`dataset_hash` hashes, one graph
+    at a time: ``json.dumps`` of ``{"graphs": [...], "feature_dim": F}`` with
+    ``sort_keys=True, separators=(",", ":")``, without ever holding all of it."""
+    yield f'{{"feature_dim":{int(ds.feature_dim)},"graphs":['
+    for i, g in enumerate(ds.graphs):
+        yield ("," if i else "") + json.dumps(_graph_to_json(g), sort_keys=True,
+                                              separators=(",", ":"))
+    yield "]}"
 
 
 def save_dataset_json(ds: GraphDataset, path) -> None:
@@ -415,4 +418,7 @@ def load_dataset_json(path) -> GraphDataset:
 
 def dataset_hash(ds: GraphDataset) -> str:
     """sha256 over the canonical JSON serialization."""
-    return hashlib.sha256(_canonical_json(ds).encode("utf-8")).hexdigest()
+    h = hashlib.sha256()
+    for piece in _canonical_json(ds):
+        h.update(piece.encode("utf-8"))
+    return h.hexdigest()

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -484,11 +485,30 @@ def _cut_metrics(path: Path, last_step: int) -> None:
 # checkpoints
 
 
-def _pack_arrays(arrays: dict[str, np.ndarray]) -> dict:
-    return {
-        k: {"shape": list(v.shape), "values": v.reshape(-1).tolist()}
-        for k, v in arrays.items()
-    }
+def _packed(v: np.ndarray) -> Iterator[str]:
+    yield json.dumps({"shape": list(v.shape), "values": v.reshape(-1).tolist()})
+
+
+def _pack_arrays(arrays: dict[str, np.ndarray]) -> dict[str, Iterator[str]]:
+    """A section of named arrays, each encoded as ``{"shape": ..., "values": ...}`` only
+    when :func:`_json_pieces` reaches it."""
+    return {k: _packed(v) for k, v in arrays.items()}
+
+
+def _json_pieces(obj) -> Iterator[str]:
+    """The text of ``json.dumps(obj)`` in pieces. A dict (with ``str`` keys) is encoded one
+    value at a time, an iterator (which ``json.dumps`` refuses) is taken as pieces of JSON
+    text already, and any other value is one piece."""
+    if isinstance(obj, dict):
+        yield "{"
+        for i, (k, v) in enumerate(obj.items()):
+            yield (", " if i else "") + json.dumps(k) + ": "
+            yield from _json_pieces(v)
+        yield "}"
+    elif isinstance(obj, Iterator):
+        yield from obj
+    else:
+        yield json.dumps(obj)
 
 
 def _unpack_section(payload, what: str, model: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -511,7 +531,8 @@ def _unpack_section(payload, what: str, model: dict[str, np.ndarray]) -> dict[st
 
 def save_checkpoint(state: TrainState, path, config: TrainConfig) -> None:
     """Versioned JSON snapshot; float64 values survive the round trip bit
-    for bit (shortest-repr decimal serialization)."""
+    for bit (shortest-repr decimal serialization). The file is written one
+    array at a time, with the bytes ``json.dumps`` gives the whole payload."""
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "config": config.to_dict(),
@@ -524,7 +545,7 @@ def save_checkpoint(state: TrainState, path, config: TrainConfig) -> None:
             "epoch_perm_seed": state.epoch_perm_seed,
         },
     }
-    write_text_atomic(path, json.dumps(payload))
+    write_text_atomic(path, _json_pieces(payload))
 
 
 def load_checkpoint(path, expected_config: TrainConfig | None = None):

@@ -6,12 +6,15 @@ with ``rgcl`` itself. The exceptions are the unfused chains of the fused
 ops, built from the package's elementary tape ops, Phase A drawn one
 ``gumbel_top_k`` call per view, and each view cut by hand from
 ``induced_subgraph`` and elementary tape ops: the fused and batched forms
-must match exactly those, bit for bit.
+must match exactly those, bit for bit. The one-shot checkpoint text also
+takes the package's names of the arrays (``rgcl.params.named_arrays``) and
+its config dict, so that only how the text is encoded differs.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import re
 from pathlib import Path
 
@@ -555,3 +558,48 @@ def tu_reference(directory):
         label = None if classes is None else classes.index(graph_labels[g - 1][0])
         graphs.append(([features[i] for i in nodes], sorted(edges), label))
     return graphs, None if classes is None else len(classes)
+
+
+# ---------------------------------------------------------------------------
+# one-shot JSON writers
+
+
+def dataset_json_one_shot(ds) -> str:
+    """The canonical dataset text built whole: every value cast element by
+    element into one document, then one ``json.dumps`` of it."""
+    graphs = []
+    for g in ds.graphs:
+        item = {
+            "x": [[float(v) for v in row] for row in g.node_features],
+            "edges": [[int(u), int(v)] for u, v in g.edges],
+        }
+        if g.label is not None:
+            item["y"] = int(g.label)
+        if g.rationale_mask is not None:
+            item["rationale"] = [bool(b) for b in g.rationale_mask]
+        graphs.append(item)
+    doc = {"graphs": graphs, "feature_dim": int(ds.feature_dim)}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def checkpoint_json_one_shot(state, config) -> str:
+    """The checkpoint text built whole: the payload with every array packed
+    into lists, then one ``json.dumps`` of it."""
+    from rgcl.params import named_arrays
+
+    def pack(arrays):
+        return {k: {"shape": list(v.shape), "values": v.reshape(-1).tolist()}
+                for k, v in arrays.items()}
+
+    return json.dumps({
+        "format_version": 3,
+        "config": config.to_dict(),
+        "input_dim": state.input_dim,
+        "step": state.step,
+        "params": pack(named_arrays(state.params)),
+        "opt": {"m": pack(state.opt_m), "v": pack(state.opt_v)},
+        "rng": {
+            "master": state.rng.bit_generator.state,
+            "epoch_perm_seed": state.epoch_perm_seed,
+        },
+    })

@@ -1,5 +1,8 @@
 """Graph container, batching, induced-subgraph, and JSON round-trip checks."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,8 +17,16 @@ from rgcl.graphs import (
     induced_subgraph,
     load_dataset_json,
     save_dataset_json,
+    write_text_atomic,
 )
-from oracles import canonical_edges_reference, gcn_coefs_fresh, induced_edges_bruteforce
+from oracles import (
+    canonical_edges_reference,
+    dataset_json_one_shot,
+    gcn_coefs_fresh,
+    induced_edges_bruteforce,
+    write_random_tu,
+)
+from rgcl.datasets import PlantedMotifSpec, generate_planted_motif_dataset, load_tu_dataset
 
 
 def triangle() -> Graph:
@@ -318,6 +329,90 @@ class TestJsonInterchange:
         obj = {"graphs": [{"x": [[1.0]]}, {"x": [[1.0], [bad]]}], "feature_dim": 1}
         with pytest.raises(GraphFormatError, match="graph 1: node features must be finite"):
             dataset_from_json(obj)
+
+
+@pytest.fixture(scope="module")
+def planted():
+    return generate_planted_motif_dataset(PlantedMotifSpec(seed=1), 500)
+
+
+def one_graph(features, **kwargs) -> GraphDataset:
+    x = np.asarray(features, dtype=np.float64)
+    return GraphDataset(graphs=[Graph(node_features=x, edges=[], **kwargs)],
+                        feature_dim=x.shape[1])
+
+
+class TestStreamedJson:
+    """``save_dataset_json`` and ``dataset_hash`` write and hash the canonical text one
+    graph at a time; the bytes are those of the one-shot encoding."""
+
+    def check(self, ds, path):
+        text = dataset_json_one_shot(ds)
+        save_dataset_json(ds, path)
+        assert path.read_bytes() == text.encode("utf-8")
+        assert dataset_hash(ds) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    def test_planted_set(self, planted, tmp_path):
+        self.check(planted, tmp_path / "ds.json")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tu_loaded_set(self, tmp_path, seed):
+        write_random_tu(tmp_path / "tu", seed)
+        self.check(load_tu_dataset(tmp_path / "tu"), tmp_path / "ds.json")
+
+    def test_unlabeled_graphs_without_masks(self, tmp_path):
+        ds = dataset_from_json({"feature_dim": 2, "graphs": [
+            {"x": [[1.0, 2.0], [3.0, 4.0]], "edges": [[0, 1]]},
+            {"x": [[0.5, -0.5]]},
+        ]})
+        assert all(g.label is None and g.rationale_mask is None for g in ds)
+        self.check(ds, tmp_path / "ds.json")
+
+    def test_edgeless_graph(self, tmp_path):
+        self.check(one_graph([[1.0], [2.0]], label=3, rationale_mask=[True, False]),
+                   tmp_path / "ds.json")
+
+    def test_extreme_features(self, tmp_path):
+        self.check(one_graph([[-0.0, 1e-300, 1e300]]), tmp_path / "ds.json")
+        assert b"-0.0,1e-300,1e+300" in (tmp_path / "ds.json").read_bytes()
+
+    def test_empty_dataset(self, tmp_path):
+        self.check(GraphDataset(graphs=[], feature_dim=4), tmp_path / "ds.json")
+        assert (tmp_path / "ds.json").read_text() == '{"feature_dim":4,"graphs":[]}'
+
+    def test_hash_memory_is_bounded_by_a_quarter_of_the_text(self, planted):
+        dataset_hash(planted)
+        tracemalloc.start()
+        try:
+            dataset_hash(planted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = len(dataset_json_one_shot(planted)) / 4
+        assert peak < bound, f"traced peak {peak} B, bound {bound:.0f} B"
+
+
+class TestAtomicWrite:
+    def test_pieces_are_written_in_order(self, tmp_path):
+        write_text_atomic(tmp_path / "out", iter(["ab", "", "c\n", "d"]))
+        assert (tmp_path / "out").read_text() == "abc\nd"
+
+    def test_a_str_is_written_whole(self, tmp_path):
+        write_text_atomic(tmp_path / "out", "one text\n")
+        assert (tmp_path / "out").read_text() == "one text\n"
+
+    def test_a_failure_partway_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out"
+        path.write_bytes(b"old bytes")
+
+        def pieces():
+            yield "new"
+            raise RuntimeError("encoder failed")
+
+        with pytest.raises(RuntimeError, match="encoder failed"):
+            write_text_atomic(path, pieces())
+        assert path.read_bytes() == b"old bytes"
+        assert [f.name for f in tmp_path.iterdir()] == ["out"]
 
 
 class TestGraphDataset:

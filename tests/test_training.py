@@ -1,10 +1,12 @@
 """Optimizer, single-step, loop, and checkpoint behavior.
 
 Everything here runs on deliberately tiny models (widths 3-8, graphs of
-8-12 nodes) so the whole module stays under a few seconds.
+8-12 nodes) so the whole module stays under a few seconds; only the
+checkpoint's memory bound takes one step of the default model.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ import pytest
 import rgcl.autodiff as ad
 import rgcl.graphs as rgcl_graphs
 from oracles import (
+    checkpoint_json_one_shot,
     encode_views_per_view,
     finite_difference,
     jitter_params,
@@ -626,6 +629,34 @@ class TestPretrainLoop:
 
 
 class TestCheckpoints:
+    @pytest.mark.parametrize("perm_seed", [None, 2**62 + 5], ids=["no-perm-seed", "perm-seed"])
+    @pytest.mark.parametrize("steps", [0, 2], ids=["fresh", "trained"])
+    def test_bytes_are_the_one_shot_encoding(self, small_dataset, tmp_path, steps, perm_seed):
+        cfg = tiny_config()
+        state = init_train_state(cfg, small_dataset.feature_dim)
+        for _ in range(steps):
+            train_step(state, [small_dataset[i] for i in range(4)], cfg)
+        state.epoch_perm_seed = perm_seed
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(state, path, cfg)
+        assert path.read_bytes() == checkpoint_json_one_shot(state, cfg).encode("utf-8")
+
+    def test_save_memory_is_bounded_by_half_the_file(self, tmp_path):
+        dataset = generate_planted_motif_dataset(PlantedMotifSpec(seed=1), 32)
+        cfg = TrainConfig(seed=1)
+        state = init_train_state(cfg, dataset.feature_dim)
+        train_step(state, list(dataset), cfg)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(state, path, cfg)
+        tracemalloc.start()
+        try:
+            save_checkpoint(state, path, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = path.stat().st_size / 2
+        assert peak < bound, f"traced peak {peak} B, bound {bound:.0f} B"
+
     def test_round_trip_is_bit_exact(self, small_dataset, tmp_path):
         cfg = tiny_config()
         state = init_train_state(cfg, small_dataset.feature_dim)
